@@ -212,8 +212,8 @@ printServingStudy()
     const auto inputs = bench::makeServeInputs(
         net, kImages, core::CompileOptions{}.format);
 
-    // Warm the digit-vector memo once so the sequential baseline and
-    // every sweep point run against the same cache state.
+    // Warm up once (packed planes, pool workers) so the sequential
+    // baseline and every sweep point run against the same state.
     (void)model.inferBatch(inputs);
 
     // Sequential baseline: inferBatch on the single-worker session.

@@ -19,20 +19,47 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 echo "== static layout audit: false-sharing padding =="
 # tests/common/test_layout.cc is a wall of static_asserts on the
 # cache-line geometry of the hot shared structures (EpochLog slots,
-# StealDeque words, engine tiles/scratch/memo, session decks): it can
+# StealDeque words, engine tiles/scratch, session decks): it can
 # only pass by compiling, so the build above already enforced it.
 # Run the registered test anyway so the audit shows up green in CI
 # output rather than passing silently.
 ./build/tests/test_common --gtest_filter='Layout.*'
 
-echo "== perf-regression gate: packed fast path vs scalar =="
+echo "== kernel tier TUs: no weak kernel::detail symbols =="
+# The tier translation units compile batch_kernel_impl.h under
+# different -m flags. A helper with external linkage there leaves one
+# weak copy per TU and the linker keeps an arbitrary one, so the
+# baseline tier could run POPCNT/AVX-512 code (SIGILL on hosts without
+# it, and forceTier(Scalar) comparing a tier with itself). -O0 keeps
+# every inline helper out of line, so any such symbol shows up as W.
+odr_dir="$(mktemp -d)"
+for tu in "batch_kernel.cc:" \
+          "batch_kernel_popcnt.cc:-mpopcnt" \
+          "batch_kernel_avx2.cc:-mavx2 -mpopcnt" \
+          "batch_kernel_avx512.cc:-mavx512f -mavx512bw -mavx512vpopcntdq -mpopcnt"; do
+    src="${tu%%:*}"
+    # shellcheck disable=SC2086 # the flag list splits on purpose
+    if ! ${CXX:-c++} -std=c++20 -O0 -Isrc ${tu#*:} \
+            -c "src/xbar/$src" -o "$odr_dir/${src%.cc}.o" 2>/dev/null; then
+        echo "  (skipping $src: the compiler rejects its ISA flags)"
+    fi
+done
+if nm -C "$odr_dir"/*.o | grep " W " | grep "kernel::detail"; then
+    rm -rf "$odr_dir"
+    echo "kernel ODR gate FAILED: weak kernel::detail symbols above"
+    exit 1
+fi
+rm -rf "$odr_dir"
+
+echo "== perf-regression gate: packed path vs scalar =="
 # bench_crossbar writes BENCH_crossbar.json (scalar and fast-path
 # columns per thread count plus the gated clean-128 record) before
 # running any google-benchmark cases; a filter matching nothing keeps
-# this step fast. The packed bit-plane path must hold at least a 5x
-# advantage over the scalar row loop on a clean 128x128 array — a
-# drop below that means the fast path silently stopped engaging
-# (dispatch regression) or its kernel degraded.
+# this step fast. On a clean 128x128 array the packed path must beat
+# the scalar row loop at n = 1 (dotProduct) and at n = 64
+# (dotProductBatch, per window), and the 64-window batch must not be
+# slower per window than n = 1. A drop means the fast path stopped
+# engaging (dispatch regression) or a kernel shape degraded.
 (cd build && ./bench/bench_crossbar \
     --benchmark_filter='^$' >/dev/null)
 python3 - <<'EOF'
@@ -40,28 +67,25 @@ import json
 with open("build/BENCH_crossbar.json") as f:
     bench = json.load(f)
 gate = bench["clean_128"]
-print("clean_128: scalar %.0f ns, fast %.0f ns, memo %.0f ns, "
-      "batched %.0f ns/window [%s] "
-      "(fast %.2fx, memo %.2fx, batched-vs-fast %.2fx)" %
-      (gate["scalar_ns"], gate["fast_ns"], gate["memo_ns"],
-       gate["batched_ns"], gate["kernel_tier"],
-       gate["fast_speedup"], gate["memo_speedup"],
-       gate["batched_speedup"]))
-if gate["fast_speedup"] < 5.0:
-    raise SystemExit(
-        "perf gate FAILED: clean-128 fast path is only %.2fx over "
-        "scalar (gate: 5x)" % gate["fast_speedup"])
-# Host-aware batched-GEMM gate: with a SIMD dispatch tier compiled
-# and detected, the plane-major batch must beat the per-window fast
-# path >= 2x on 64 distinct windows; a host stuck on the scalar tier
-# (no POPCNT/AVX2 compiled or detected) only has the hoisted packing
-# to win with, so the gate degrades to no-regression there.
-need = 2.0 if gate["kernel_tier"] != "scalar" else 1.0
-if gate["batched_speedup"] < need:
-    raise SystemExit(
-        "perf gate FAILED: clean-128 batched GEMM is only %.2fx over "
-        "the per-window fast path on kernel tier '%s' (gate: %.1fx)"
-        % (gate["batched_speedup"], gate["kernel_tier"], need))
+print("clean_128: scalar %.0f ns, fast %.0f ns, batched %.0f ns/window "
+      "[%s] (fast %.2fx, batched %.2fx over scalar, %.2fx over fast)" %
+      (gate["scalar_ns"], gate["fast_ns"], gate["batched_ns"],
+       gate["kernel_tier"], gate["fast_speedup"],
+       gate["batched_vs_scalar"], gate["batched_speedup"]))
+# Host-aware thresholds: with a dispatch tier above scalar compiled
+# and detected, n = 1 must hold 15x and the batch 25x over scalar; a
+# host stuck on the scalar tier (software popcount) keeps the 5x n = 1
+# floor. Everywhere the batch must at least match n = 1 per window.
+simd = gate["kernel_tier"] != "scalar"
+gates = [("fast_speedup", 15.0 if simd else 5.0),
+         ("batched_vs_scalar", 25.0 if simd else 0.0),
+         ("batched_speedup", 1.0)]
+for key, need in gates:
+    if gate[key] < need:
+        raise SystemExit(
+            "perf gate FAILED: clean-128 %s is %.2fx on kernel tier "
+            "'%s' (gate: %.1fx)" % (key, gate[key],
+                                    gate["kernel_tier"], need))
 EOF
 
 echo "== serving perf gate: pipelined session vs sequential batch =="
@@ -267,12 +291,11 @@ echo "== TSan: self-healing watchdog suite (repair lock discipline) =="
 # workers; TSan proves the _repairMtx -> _mtx lock discipline.
 ./build-tsan/tests/test_selfheal
 
-echo "== TSan: fast-path equivalence suite (memo under threads) =="
-# The packed-path golden sweep runs engines at 1/2/4/8 threads with
-# the digit-vector memo racing to populate, and the batched sweep
-# fans window blocks across workers; TSan proves the lazy plane
-# rebuild, the per-tile memo locking, and the batch partitioning
-# hold the threading contract.
+echo "== TSan: fast-path equivalence suite =="
+# The packed-path golden sweeps run engines at 1/2/4/8 threads and
+# fan window blocks across workers; TSan proves the lazy plane (and
+# clip-bound) rebuild and the batch partitioning hold the threading
+# contract.
 ./build-tsan/tests/test_xbar --gtest_filter='FastPath.*:Batched.*'
 
 echo "== AddressSanitizer build =="
@@ -322,7 +345,7 @@ echo "== ASan: transient-error campaigns (ABFT / ECC / NoC retry) =="
 ./build-asan/tests/test_xbar \
     --gtest_filter='Abft.*:Drift.*:Concurrency.Transient*'
 
-echo "== ASan: fast-path equivalence suite (plane/memo buffers) =="
+echo "== ASan: fast-path equivalence suite (plane/scratch buffers) =="
 ./build-asan/tests/test_xbar --gtest_filter='FastPath.*:Batched.*'
 ./build-asan/tests/test_noc --gtest_filter='Crc.*:Packet.*:Ecc.*'
 ./build-asan/tests/test_core --gtest_filter='TransientE2e.*'

@@ -105,16 +105,14 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
     const std::int64_t windows =
         static_cast<std::int64_t>(l.outNx()) * l.outNy();
     const auto &shared = engines[layerIdx][0];
-    if (!l.privateKernel && windows > 1 &&
-        shared->config().batchWindows && shared->fastPathActive()) {
-        // Batched layer execution: stage every window's input vector
-        // once, then stream the whole layer through one
-        // dotProductBatch() call — the engine packs each (phase, row
-        // segment)'s digit planes into a single plane-major
-        // bit-matrix and evaluates all windows per tile in one
-        // popcount GEMM. Bit-identical results and counters to the
-        // per-window loop below (tests assert it), minus thousands
-        // of per-window staging/dispatch round trips.
+    if (!l.privateKernel && shared->fastPathActive()) {
+        // Shared-kernel layers, one-window layers included: stage
+        // every window's input vector once, then stream the whole
+        // layer through one dotProductBatch() call — the engine packs
+        // each row segment's digit planes into a single plane-major
+        // bit-matrix and evaluates all windows per (phase, tile) in
+        // one popcount GEMM. Bit-identical results and counters to
+        // the per-window loop below (tests assert it).
         const int len = shared->numInputs();
         std::vector<Word> staged(
             static_cast<std::size_t>(windows) * len);
@@ -145,14 +143,10 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
             });
         return out;
     }
-    // dotProduct() is concurrency-safe, so windows of a layer can be
-    // issued in parallel even against a shared engine (exactly as
-    // replicated IMAs pipeline windows in hardware). Sharing the
-    // engine also shares its per-tile digit-vector memo: overlapping
-    // windows and repeated batch images present recurring digit
-    // vectors (sign-extended high phases above all, since quantized
-    // activations rarely fill 16 bits), and those replay cached
-    // readings instead of re-simulating the crossbar.
+    // Private kernels (one engine per window) and scalar-path
+    // engines: dotProduct() is concurrency-safe, so windows of a
+    // layer can be issued in parallel even against a shared engine
+    // (exactly as replicated IMAs pipeline windows in hardware).
     parallelFor(windows, cfg.threads(), [&](std::int64_t window, int) {
         const int ox = static_cast<int>(window / l.outNy());
         const int oy = static_cast<int>(window % l.outNy());
@@ -303,26 +297,6 @@ CompiledModel::engineStats() const
     for (const auto &layer : engines)
         for (const auto &e : layer)
             total.merge(e->stats());
-    return total;
-}
-
-std::uint64_t
-CompiledModel::memoHits() const
-{
-    std::uint64_t total = 0;
-    for (const auto &layer : engines)
-        for (const auto &e : layer)
-            total += e->memoHits();
-    return total;
-}
-
-std::uint64_t
-CompiledModel::memoMisses() const
-{
-    std::uint64_t total = 0;
-    for (const auto &layer : engines)
-        for (const auto &e : layer)
-            total += e->memoMisses();
     return total;
 }
 

@@ -132,17 +132,6 @@ class CompiledModel
     /** Aggregated crossbar-engine activity since compilation. */
     xbar::EngineStats engineStats() const;
 
-    /**
-     * Digit-vector memo replay hits / misses summed over every
-     * functional engine. A layer's windows share one engine (and for
-     * shared kernels one tile memo), so overlapping conv windows and
-     * repeated batch images replay each other's readings — these
-     * counters quantify that reuse. Diagnostic: the split depends on
-     * thread interleaving even though results and stats never do.
-     */
-    std::uint64_t memoHits() const;
-    std::uint64_t memoMisses() const;
-
     /** ADC clip events across all engines (0 unless noisy). */
     std::uint64_t adcClips() const;
 
@@ -211,8 +200,8 @@ class CompiledModel
      * Rewind the model to a scenario boundary: the one entry point a
      * fault-injection campaign calls between back-to-back scenarios
      * on a shared compiled model. Today this is resetStats() — which
-     * already rewinds the engine op clocks (drift age), digit-vector
-     * memos, ADC tallies, health roll-up, and the session image-key
+     * already rewinds the engine op clocks (drift age), ADC
+     * tallies, health roll-up, and the session image-key
      * counter together — under a name that states the contract:
      * after this call, a run is bit-identical to the same run on a
      * freshly compiled model (tests/campaign pins this). Stored cell

@@ -45,7 +45,10 @@ struct Trace
 /**
  * A resource with a fixed number of slots per cycle (an eDRAM with N
  * banks, a bus, a pair of sigmoid units). reserve() books the
- * earliest free slot at or after the requested cycle.
+ * earliest free slot at or after the requested cycle. Full cycles
+ * carry a skip link to a later cycle (every cycle in between is full
+ * too), followed with path compression, so a request behind a long
+ * backlog jumps over it instead of probing it cycle by cycle.
  */
 class SlotResource
 {
@@ -61,6 +64,8 @@ class SlotResource
   private:
     int slots;
     std::map<Cycle, int> used;
+    /** Full cycle -> a later cycle; [key, value) is all full. */
+    std::map<Cycle, Cycle> skip;
     std::uint64_t reservations = 0;
 };
 

@@ -50,6 +50,15 @@ enum class Tier
     Avx512 = 3, ///< AVX-512 vpopcntdq, 8 lanes.
 };
 
+/**
+ * Batches below two widths of the widest vector tier (AVX-512: eight
+ * 64-bit lanes) have too few windows to fill a vector row, so the
+ * GEMM sweeps them window by window and the engine merges them with
+ * scalar code. Fixed, not tier-dependent, so every tier runs the same
+ * shape for a given n.
+ */
+inline constexpr int kSmallBatch = 16;
+
 /** Human-readable tier name ("scalar", "popcnt", ...). */
 const char *tierName(Tier t);
 
@@ -81,9 +90,10 @@ void resetTierOverride();
  *                                cellPlanes[(c*cellBits + b)*words + w])
  *
  * for c in [0, cols) and i in [0, n). `out` must hold cols * n
- * accumulators; it is fully overwritten. n == 1 degenerates to the
- * single-vector packed read and takes register-resident special
- * cases. Dispatches on activeTier(); all tiers are bit-exact.
+ * accumulators; it is fully overwritten. Batches narrower than
+ * kSmallBatch run one register-resident column sweep per window
+ * instead of window rows. Dispatches on activeTier(); all tiers are
+ * bit-exact.
  */
 void batchedBitlineSums(const std::uint64_t *cellPlanes, int cols,
                         int cellBits, int words,

@@ -8,15 +8,21 @@
  *     : dst[i] += popcount(dp[i] & pw) << shift   for i in [0, n),
  *
  * and everything else — loop structure, zero-plane skipping, the
- * register-resident n == 1 special cases — is this template. Keeping
+ * register-resident small-batch sweep — is this template. Keeping
  * the skeleton in one place is what makes the tiers bit-exact by
  * construction: they can only differ in how a row of popcounts is
  * computed, never in what is summed.
  *
- * The n == 1 cases are plain scalar code on purpose: a single digit
- * vector has no lane parallelism to exploit, and compiling this
- * header inside a tier TU means std::popcount lowers to that tier's
- * best instruction (hardware POPCNT from the popcnt tier up).
+ * The small-batch sweep is plain scalar code on purpose: a handful of
+ * windows has no lane parallelism worth a vector row, and compiling
+ * this header inside a tier TU means std::popcount lowers to that
+ * tier's best instruction (hardware POPCNT from the popcnt tier up).
+ *
+ * Everything here has internal linkage (an anonymous namespace): the
+ * tier TUs compile this header under different -m flags, and an
+ * inline function with external linkage would leave one weak copy
+ * per TU for the linker to pick from — a baseline-tier caller could
+ * then run the AVX-512 object's body.
  */
 
 #ifndef ISAAC_XBAR_BATCH_KERNEL_IMPL_H
@@ -27,8 +33,67 @@
 #include <cstdint>
 
 #include "common/types.h"
+#include "xbar/batch_kernel.h"
 
 namespace isaac::xbar::kernel::detail {
+namespace {
+
+/**
+ * One window's column sweep for the 1-bit-DAC shapes: the window's
+ * `Words` digit words stay in registers across every column, and the
+ * reading lands at out[c * n] (the caller offsets `out` by the window
+ * index). `CellBits` is the cell width when fixed at compile time (the
+ * unrolled sum has no variable shifts), or 0 to take `cellBits`. An
+ * all-zero digit vector reads zero on every column.
+ */
+template <int Words, int CellBits>
+inline void
+sweepWindow1Bit(const std::uint64_t *cellPlanes, int cols,
+                int cellBits, const std::uint64_t *dig, int n,
+                Acc *out)
+{
+    if constexpr (CellBits > 0)
+        cellBits = CellBits;
+    std::uint64_t d[Words];
+    std::uint64_t any = 0;
+    for (int w = 0; w < Words; ++w) {
+        d[w] = dig[static_cast<std::size_t>(w) * n];
+        any |= d[w];
+    }
+    if (!any) {
+        for (int c = 0; c < cols; ++c)
+            out[static_cast<std::size_t>(c) * n] = 0;
+        return;
+    }
+    const std::uint64_t *cp = cellPlanes;
+    for (int c = 0; c < cols; ++c) {
+        Acc sum = 0;
+        for (int b = 0; b < cellBits; ++b, cp += Words) {
+            int cnt = 0;
+            for (int w = 0; w < Words; ++w)
+                cnt += std::popcount(d[w] & cp[w]);
+            sum += static_cast<Acc>(cnt) << b;
+        }
+        out[static_cast<std::size_t>(c) * n] = sum;
+    }
+}
+
+/** sweepWindow1Bit for a runtime word count of 1 or 2. */
+template <int CellBits>
+inline void
+sweepSmallBatch1Bit(const std::uint64_t *cellPlanes, int cols,
+                    int cellBits, int words, const std::uint64_t *dig,
+                    int n, Acc *out)
+{
+    for (int i = 0; i < n; ++i) {
+        if (words == 1)
+            sweepWindow1Bit<1, CellBits>(cellPlanes, cols, cellBits,
+                                         dig + i, n, out + i);
+        else
+            sweepWindow1Bit<2, CellBits>(cellPlanes, cols, cellBits,
+                                         dig + i, n, out + i);
+    }
+}
 
 template <typename AccumRow>
 inline void
@@ -37,35 +102,17 @@ batchedBitlineSumsImpl(const std::uint64_t *cellPlanes, int cols,
                        const std::uint64_t *dig, int digitBits, int n,
                        Acc *out, AccumRow accumRow)
 {
-    // Single-vector reads dominate the unbatched fast path (one call
-    // per tile-phase attempt); keep the digit words in registers
-    // across the whole column sweep for the common 1-bit-DAC shapes.
-    if (n == 1 && digitBits == 1 && words == 1) {
-        const std::uint64_t d0 = dig[0];
-        const std::uint64_t *cellPlane = cellPlanes;
-        for (int c = 0; c < cols; ++c) {
-            Acc sum = 0;
-            for (int b = 0; b < cellBits; ++b, ++cellPlane)
-                sum += static_cast<Acc>(
-                           std::popcount(d0 & cellPlane[0]))
-                    << b;
-            out[static_cast<std::size_t>(c)] = sum;
-        }
-        return;
-    }
-    if (n == 1 && digitBits == 1 && words == 2) {
-        const std::uint64_t d0 = dig[0];
-        const std::uint64_t d1 = dig[1];
-        const std::uint64_t *cellPlane = cellPlanes;
-        for (int c = 0; c < cols; ++c) {
-            Acc sum = 0;
-            for (int b = 0; b < cellBits; ++b, cellPlane += 2)
-                sum += static_cast<Acc>(
-                           std::popcount(d0 & cellPlane[0]) +
-                           std::popcount(d1 & cellPlane[1]))
-                    << b;
-            out[static_cast<std::size_t>(c)] = sum;
-        }
+    // Small batches (single-window layers, FC nodes): one register-
+    // resident column sweep per window for the common 1-bit-DAC
+    // shapes. Window i's digit words sit at stride n in the
+    // plane-major matrix, and its readings at stride n in `out`.
+    if (n < kSmallBatch && digitBits == 1 && words <= 2) {
+        if (cellBits == 2)
+            sweepSmallBatch1Bit<2>(cellPlanes, cols, cellBits, words,
+                                   dig, n, out);
+        else
+            sweepSmallBatch1Bit<0>(cellPlanes, cols, cellBits, words,
+                                   dig, n, out);
         return;
     }
 
@@ -154,6 +201,7 @@ struct ScalarAccumRow
     }
 };
 
+} // namespace
 } // namespace isaac::xbar::kernel::detail
 
 #endif // ISAAC_XBAR_BATCH_KERNEL_IMPL_H

@@ -132,32 +132,20 @@ class CrossbarArray
     }
 
     /**
-     * One packed crossbar read cycle: every bitline current computed
-     * as sum_b 2^b * sum_j 2^j * popcount(digitPlane[j] & plane[c][b])
-     * over the stored-level bit-planes. Bit-identical to a clean
-     * readAllBitlines() against the same input digits (the caller
-     * packs digit bit j of row r into bit r of digitPlanes[j]; rows
-     * beyond the input vector must be zero). `digitPlanes` holds
-     * digitBits planes of planeWords() words each. fatal()s unless
-     * packedReadExact(). Thread-safe against other reads; the planes
-     * are rebuilt lazily after any program()/forceStuck()/setNoise().
-     */
-    void readAllBitlinesPacked(
-        std::span<const std::uint64_t> digitPlanes, int digitBits,
-        std::vector<Acc> &out) const;
-
-    /**
      * Batched packed read: `n` digit-vector sets evaluated against
      * the stored planes in one plane-major popcount GEMM
      * (xbar/batch_kernel.h). `digitPlanes` holds the plane-major
      * bit-matrix dig[(j * planeWords() + w) * n + i] (window index i
      * innermost); `out` is resized to cols() * n with window i's
      * reading of column c at out[c * n + i], bit-identical to n
-     * readAllBitlinesPacked() calls. Unlike the single-vector read
-     * this does NOT count read cycles: the engine charges one cycle
-     * per logical read *attempt* per window (chargeReadCycles), which
-     * keeps readCycles() exact under ABFT retries. fatal()s unless
-     * packedReadExact().
+     * clean readAllBitlines() calls against the same digits (the
+     * caller packs digit bit j of row r into bit r of plane j; rows
+     * beyond the input vector must be zero). This does NOT count read
+     * cycles: the engine charges one cycle per logical read *attempt*
+     * per window (chargeReadCycles), which keeps readCycles() exact
+     * under ABFT retries. fatal()s unless packedReadExact().
+     * Thread-safe against other reads; the planes are rebuilt lazily
+     * after any program()/forceStuck()/setNoise().
      */
     void readAllBitlinesPackedBatch(
         std::span<const std::uint64_t> digitPlanes, int digitBits,
@@ -167,18 +155,21 @@ class CrossbarArray
      * Upper bound on any packed bitline reading of this array: the
      * largest per-column stored-level sum times the largest digit
      * value (2^digitBits - 1). Computed from the stored levels, so
-     * stuck and write-noised cells are included. The batched engine
-     * compares it against the ADC code ceiling once per tile block —
-     * when the bound fits, no reading of any column can clip (or go
-     * negative: levels and digits are non-negative), and the digital
-     * merge skips quantizer clamping entirely, bit-exactly.
+     * stuck and write-noised cells are included; the column sums are
+     * taken in the same pass that builds the packed planes and go
+     * stale with them, so a call costs a load. The engine compares
+     * the bound against the ADC code ceiling per tile-phase — when it
+     * fits, no reading of any column can clip (or go negative: levels
+     * and digits are non-negative), and the digital merge skips
+     * quantizer clamping entirely, bit-exactly.
      */
     Acc maxPackedReading(int digitBits) const;
 
     /**
-     * Charge `n` read cycles without performing a read. The engine's
-     * digit-vector memo replays cached reads and uses this to keep
-     * readCycles() exactly equal to an unmemoized run.
+     * Charge `n` read cycles without performing a read. The packed
+     * batch read counts no cycles itself; the engine charges one per
+     * window read attempt through this, keeping readCycles() equal to
+     * the scalar path's.
      */
     void
     chargeReadCycles(std::uint64_t n) const
@@ -258,7 +249,8 @@ class CrossbarArray
     const double *ensureSusceptibility() const;
     Acc applyReadNoise(Acc sum, std::uint64_t seq, int col) const;
 
-    /** Rebuild the packed planes if stale; returns the plane base. */
+    /** Rebuild the packed planes (and the column-sum bound) if
+     *  stale; returns the plane base. */
     const std::uint64_t *ensurePlanes() const;
     /** Mark the packed planes stale (any stored-level mutation). */
     void
@@ -289,6 +281,8 @@ class CrossbarArray
      * must not overlap reads, per the class contract above.
      */
     mutable std::vector<std::uint64_t> _planes;
+    /** Largest per-column stored-level sum, built with _planes. */
+    mutable Acc _maxColumnSum = 0;
     mutable std::atomic<bool> _planesValid{false};
     mutable std::mutex _planesMutex;
     /**

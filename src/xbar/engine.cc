@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "common/bits.h"
 #include "common/logging.h"
@@ -54,8 +55,6 @@ EngineConfig::validate() const
     if (threads < 0 || threads > kMaxThreads)
         fatal("EngineConfig: thread count must be in [0, " +
               std::to_string(kMaxThreads) + "]");
-    if (memoEntries < 0)
-        fatal("EngineConfig: memoEntries must be non-negative");
     adcPolicy.validate();
 }
 
@@ -82,9 +81,6 @@ BitSerialEngine::BitSerialEngine(const EngineConfig &cfg,
 
     _log.configure(kLogTileBase + kLogTileStride * tiles.size());
     _folded.assign(_log.counters(), 0);
-    memos.resize(tiles.size());
-    for (auto &m : memos)
-        m = std::make_unique<TileMemo>();
     for (int rs = 0; rs < _rowSegments; ++rs) {
         for (int cs = 0; cs < _colSegments; ++cs) {
             auto &t = tile(rs, cs);
@@ -180,6 +176,24 @@ BitSerialEngine::programTile(ArrayTile &t,
     }
     for (int r = 0; r < t.usedRows; ++r)
         at(r, dataCols) = 1;
+
+    // Merge plan: a flipped slice reads (2^w - 1) * unit - v, so its
+    // weight goes negative and its (2^w - 1) * unit share moves onto
+    // the unit reading's weight, as does the two's-complement bias
+    // removal (-2^15 * unit per phase).
+    const Acc full = (Acc{1} << cfg.cellBits) - 1;
+    t.sliceWeight.assign(static_cast<std::size_t>(dataCols), 0);
+    t.unitWeight.assign(
+        static_cast<std::size_t>(t.localOutputs),
+        cfg.inputMode == InputMode::TwosComplement ? -kWeightBias : 0);
+    for (int c = 0; c < dataCols; ++c) {
+        const Acc w = Acc{1} << ((c % slices) * cfg.cellBits);
+        const bool flip = t.flipped[static_cast<std::size_t>(c)];
+        t.sliceWeight[static_cast<std::size_t>(c)] = flip ? -w : w;
+        if (flip)
+            t.unitWeight[static_cast<std::size_t>(c / slices)] +=
+                full * w;
+    }
 
     // First programming pass: fault-aware placement decides which
     // physical column serves each logical column (identity unless
@@ -296,10 +310,6 @@ BitSerialEngine::reprogram(std::span<const Word> weights)
     std::int64_t total = 0;
     for (std::int64_t w : writes)
         total += w;
-    // Stored levels (and possibly the abftOk/flip state) changed:
-    // every memoized reading is stale. The packed planes invalidated
-    // themselves on the program() calls above.
-    clearMemos();
     return total;
 }
 
@@ -312,183 +322,6 @@ BitSerialEngine::fastPathActive() const
 }
 
 void
-BitSerialEngine::packDigitPlanes(std::span<const Word> inputs, int p,
-                                 int rs, int used, Partial &part) const
-{
-    // Fast-path digit extraction: the input digits land directly in
-    // the packed planes (the scalar `digits` buffer is only needed by
-    // the analog read primitive, which this path never calls).
-    const int words = (cfg.rows + 63) / 64;
-    const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
-    auto &planes = part.digitPlanes;
-    planes.assign(static_cast<std::size_t>(cfg.dacBits) * words, 0);
-    for (int r = 0; r < used; ++r) {
-        const Word x =
-            inputs[static_cast<std::size_t>(rs * cfg.rows + r)];
-        int d;
-        if (twosComp) {
-            d = bitOf(x, p);
-        } else {
-            const std::uint16_t y = static_cast<std::uint16_t>(
-                static_cast<Acc>(x) + kWeightBias);
-            d = digitOf(static_cast<Word>(y), p * cfg.dacBits,
-                        cfg.dacBits);
-        }
-        if (!d)
-            continue;
-        const std::uint64_t bit = std::uint64_t{1} << (r % 64);
-        for (int j = 0; j < cfg.dacBits; ++j) {
-            if ((d >> j) & 1)
-                planes[static_cast<std::size_t>(j) * words + r / 64] |=
-                    bit;
-        }
-    }
-    // FNV-1a over the plane words; collisions are survivable (the
-    // memo verifies full key equality) but rare enough not to cost.
-    std::uint64_t h = 14695981039346656037ull;
-    for (const std::uint64_t w : planes) {
-        h ^= w;
-        h *= 1099511628211ull;
-    }
-    part.planeHash = h;
-}
-
-bool
-BitSerialEngine::memoReplay(int rs, int cs, Partial &part,
-                            Acc &unit) const
-{
-    auto &memo =
-        *memos[static_cast<std::size_t>(rs) * _colSegments + cs];
-    std::lock_guard<std::mutex> lock(memo.m);
-    const auto [begin, end] = memo.index.equal_range(part.planeHash);
-    for (auto it = begin; it != end; ++it) {
-        auto &e = memo.entries[it->second];
-        if (e.key.size() != part.digitPlanes.size() ||
-            !std::equal(e.key.begin(), e.key.end(),
-                        part.digitPlanes.begin()))
-            continue;
-        // Replay: the cached deltas are exactly what a fresh
-        // evaluation would add, so every counter stays identical to
-        // an unmemoized run (including the array's own read-cycle
-        // counter, charged explicitly).
-        part.colQ.assign(e.colQ.begin(), e.colQ.end());
-        unit = e.unit;
-        part.stats.crossbarReads += e.reads;
-        part.stats.adcSamples += e.tally.samples;
-        auto &tileTally = part.tileAdc[static_cast<std::size_t>(
-            rs * _colSegments + cs)];
-        tileTally.merge(e.tally);
-        part.transient.merge(e.transient);
-        tile(rs, cs).array->chargeReadCycles(e.reads);
-        e.lastUse = ++memo.clock;
-        ++memo.hits;
-        return true;
-    }
-    ++memo.misses;
-    return false;
-}
-
-void
-BitSerialEngine::memoInsert(
-    int rs, int cs, const Partial &part, Acc unit,
-    const EngineStats &statsBefore, const AdcTally &tallyBefore,
-    const resilience::TransientStats &trBefore) const
-{
-    auto &memo =
-        *memos[static_cast<std::size_t>(rs) * _colSegments + cs];
-    std::lock_guard<std::mutex> lock(memo.m);
-    // A racing worker may have inserted the same key meanwhile;
-    // keeping one copy is enough (both computed identical values).
-    const auto [begin, end] = memo.index.equal_range(part.planeHash);
-    for (auto it = begin; it != end; ++it) {
-        const auto &e = memo.entries[it->second];
-        if (e.key.size() == part.digitPlanes.size() &&
-            std::equal(e.key.begin(), e.key.end(),
-                       part.digitPlanes.begin()))
-            return;
-    }
-    std::size_t slotIdx;
-    if (static_cast<int>(memo.entries.size()) < cfg.memoEntries) {
-        slotIdx = memo.entries.size();
-        memo.entries.emplace_back();
-    } else {
-        // Evict the least-recently-used entry (only reached once the
-        // working set outgrows the capacity) and unhook its index.
-        slotIdx = 0;
-        for (std::size_t i = 1; i < memo.entries.size(); ++i)
-            if (memo.entries[i].lastUse <
-                memo.entries[slotIdx].lastUse)
-                slotIdx = i;
-        const auto [b, e] =
-            memo.index.equal_range(memo.entries[slotIdx].hash);
-        for (auto it = b; it != e; ++it) {
-            if (it->second == slotIdx) {
-                memo.index.erase(it);
-                break;
-            }
-        }
-    }
-    MemoEntry *slot = &memo.entries[slotIdx];
-    const auto &tileTally = part.tileAdc[static_cast<std::size_t>(
-        rs * _colSegments + cs)];
-    slot->hash = part.planeHash;
-    slot->key.assign(part.digitPlanes.begin(),
-                     part.digitPlanes.end());
-    slot->colQ.assign(part.colQ.begin(), part.colQ.end());
-    slot->unit = unit;
-    slot->reads = part.stats.crossbarReads - statsBefore.crossbarReads;
-    slot->tally.samples = tileTally.samples - tallyBefore.samples;
-    slot->tally.clips = tileTally.clips - tallyBefore.clips;
-    slot->tally.bitCycles =
-        tileTally.bitCycles - tallyBefore.bitCycles;
-    slot->transient = resilience::TransientStats{};
-    slot->transient.abftChecks =
-        part.transient.abftChecks - trBefore.abftChecks;
-    slot->transient.abftMismatches =
-        part.transient.abftMismatches - trBefore.abftMismatches;
-    slot->transient.abftRetries =
-        part.transient.abftRetries - trBefore.abftRetries;
-    slot->transient.abftRetryCycles =
-        part.transient.abftRetryCycles - trBefore.abftRetryCycles;
-    slot->transient.abftUncorrected =
-        part.transient.abftUncorrected - trBefore.abftUncorrected;
-    slot->lastUse = ++memo.clock;
-    memo.index.emplace(part.planeHash, slotIdx);
-}
-
-void
-BitSerialEngine::clearMemos() const
-{
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        m->entries.clear();
-        m->index.clear();
-    }
-}
-
-std::uint64_t
-BitSerialEngine::memoHits() const
-{
-    std::uint64_t total = 0;
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        total += m->hits;
-    }
-    return total;
-}
-
-std::uint64_t
-BitSerialEngine::memoMisses() const
-{
-    std::uint64_t total = 0;
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        total += m->misses;
-    }
-    return total;
-}
-
-void
 BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
                                  int rs, std::uint64_t opSeq,
                                  Partial &part) const
@@ -498,29 +331,19 @@ BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
 
     const int used = tile(rs, 0).usedRows;
-    // Clean configurations take the packed bit-plane path: the digit
-    // vector is packed once per (phase, row segment) and every tile
-    // either replays a memoized reading of that vector or computes
-    // it from popcounts. Both produce bit-identical values and
-    // counter deltas to the scalar loop below (tests assert it).
-    const bool fast = fastPathActive();
-    if (fast) {
-        packDigitPlanes(inputs, p, rs, used, part);
-    } else {
-        auto &digits = part.digits;
-        digits.assign(static_cast<std::size_t>(used), 0);
-        for (int r = 0; r < used; ++r) {
-            const Word x =
-                inputs[static_cast<std::size_t>(rs * cfg.rows + r)];
-            if (twosComp) {
-                digits[static_cast<std::size_t>(r)] = bitOf(x, p);
-            } else {
-                const std::uint16_t y = static_cast<std::uint16_t>(
-                    static_cast<Acc>(x) + kWeightBias);
-                digits[static_cast<std::size_t>(r)] =
-                    digitOf(static_cast<Word>(y), p * cfg.dacBits,
-                            cfg.dacBits);
-            }
+    auto &digits = part.digits;
+    digits.assign(static_cast<std::size_t>(used), 0);
+    for (int r = 0; r < used; ++r) {
+        const Word x =
+            inputs[static_cast<std::size_t>(rs * cfg.rows + r)];
+        if (twosComp) {
+            digits[static_cast<std::size_t>(r)] = bitOf(x, p);
+        } else {
+            const std::uint16_t y = static_cast<std::uint16_t>(
+                static_cast<Acc>(x) + kWeightBias);
+            digits[static_cast<std::size_t>(r)] =
+                digitOf(static_cast<Word>(y), p * cfg.dacBits,
+                        cfg.dacBits);
         }
     }
     part.stats.dacActivations += static_cast<std::uint64_t>(used);
@@ -535,22 +358,20 @@ BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
             opSeq * static_cast<std::uint64_t>(phases) +
             static_cast<std::uint64_t>(p);
 
+        // The noise sequence salts the attempt into the high bits;
+        // the drift clock stays pinned to opSeq — noise excursions
+        // are retryable, drifted conductances are not.
         Acc unit = 0;
-        bool replayed = false;
-        if (fast && cfg.memoEntries > 0)
-            replayed = memoReplay(rs, cs, part, unit);
-        if (!replayed) {
-            const EngineStats statsBefore = part.stats;
-            const AdcTally tallyBefore = tileTally;
-            const resilience::TransientStats trBefore =
-                part.transient;
-            evalTilePhase(t, dataCols, checking, fast, baseSeq,
-                          opSeq, part, tileTally, unit);
-            if (fast && cfg.memoEntries > 0) {
-                memoInsert(rs, cs, part, unit, statsBefore,
-                           tallyBefore, trBefore);
-            }
-        }
+        evalTileAttempts(
+            t, dataCols, checking, part, tileTally, unit,
+            [&](int attempt) -> const std::vector<Acc> & {
+                t.array->readAllBitlinesInto(
+                    part.digits,
+                    baseSeq +
+                        (static_cast<std::uint64_t>(attempt) << 40),
+                    opSeq, part.currents);
+                return part.currents;
+            });
 
         mergeTilePhase(t, cs, p, unit, part,
                        twosComp ? std::span<Acc>(part.result)
@@ -608,7 +429,7 @@ BitSerialEngine::evalTileAttempts(const ArrayTile &t, int dataCols,
     // sampled too and the quantized total is verified mod 2^w. A
     // mismatch triggers a bounded re-read — the scalar read
     // primitive draws a fresh noise sequence per attempt, the packed
-    // and batched primitives are deterministic — and the retry
+    // primitive is deterministic — and the retry
     // decision depends only on the currents readFn supplies, so
     // every execution path shares this loop and every counter it
     // touches.
@@ -678,51 +499,20 @@ BitSerialEngine::evalTileAttempts(const ArrayTile &t, int dataCols,
     }
 }
 
-void
-BitSerialEngine::evalTilePhase(const ArrayTile &t, int dataCols,
-                               bool checking, bool fast,
-                               std::uint64_t baseSeq,
-                               std::uint64_t opSeq, Partial &part,
-                               AdcTally &tileTally, Acc &unit) const
-{
-    if (fast) {
-        evalTileAttempts(
-            t, dataCols, checking, part, tileTally, unit,
-            [&](int) -> const std::vector<Acc> & {
-                t.array->readAllBitlinesPacked(part.digitPlanes,
-                                               cfg.dacBits,
-                                               part.currents);
-                return part.currents;
-            });
-    } else {
-        // The noise sequence salts the attempt into the high bits;
-        // the drift clock stays pinned to opSeq — noise excursions
-        // are retryable, drifted conductances are not.
-        evalTileAttempts(
-            t, dataCols, checking, part, tileTally, unit,
-            [&](int attempt) -> const std::vector<Acc> & {
-                t.array->readAllBitlinesInto(
-                    part.digits,
-                    baseSeq +
-                        (static_cast<std::uint64_t>(attempt) << 40),
-                    opSeq, part.currents);
-                return part.currents;
-            });
-    }
-}
-
 std::vector<Acc>
 BitSerialEngine::dotProduct(std::span<const Word> inputs) const
 {
     if (inputs.size() != static_cast<std::size_t>(_numInputs))
         fatal("BitSerialEngine::dotProduct: wrong input length");
+    if (fastPathActive())
+        return dotProductBatch(inputs, 1);
 
     const int phases = cfg.phases();
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
     const std::uint64_t opSeq =
         _opSeq.fetch_add(1, std::memory_order_relaxed);
 
-    // One task per (phase, row segment); partial sums, stats, and
+    // Scalar reference path. One task per (phase, row segment); partial sums, stats, and
     // ADC tallies land in per-worker accumulators. 64-bit integer
     // addition is associative, so any partitioning merges to the
     // exact serial result.
@@ -867,39 +657,24 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
     const int phases = cfg.phases();
     const int words = (cfg.rows + 63) / 64;
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
-    std::vector<std::uint64_t> dig;
-    std::vector<Acc> curMat;
+    // Too few windows to fill a vector row: merge window by window
+    // from the tiles' merge plans instead of through kernel rows.
+    const bool smallBatch = n < kernel::kSmallBatch;
+    auto &dig = part.dig;
+    auto &curMat = part.curMat;
     Acc dummyUnitTotal = 0;
     // Column-major output accumulator (batchAcc[k * n + i]): the
-    // vectorized digital pass adds into contiguous window runs and
-    // one transpose at the end lands the block in `out`. ABFT tiles
-    // merge straight into `out` instead; mixing is fine because both
-    // only ever add.
+    // digital pass adds into contiguous window runs and one transpose
+    // at the end lands the block in `out`. ABFT tiles merge straight
+    // into `out` instead; mixing is fine because both only ever add.
     auto &batchAcc = part.batchAcc;
     batchAcc.assign(static_cast<std::size_t>(_numOutputs) * n, 0);
     auto &units = part.unitsBatch;
-    auto &merged = part.mergedBatch;
+    auto &dataCeil = part.dataCeil;
     const Acc maxCode = adc.maxCode();
     const int cap = adc.bits();
     const bool adaptive = cfg.adcPolicy.isAdaptive();
     const Acc maxLevel = (Acc{1} << cfg.cellBits) - 1;
-    // Clamped-ladder scratch: per-window data-column code ceilings
-    // (all maxCode under a fixed policy; derived from the quantized
-    // unit under an adaptive one, mirroring evalTileAttempts).
-    std::vector<Acc> dataCeil;
-    // Clip feasibility, decided once per tile per block: when even
-    // the all-ones digit pattern cannot push any column past the ADC
-    // ceiling — the common case; the flip encoding exists to
-    // guarantee it for clean weights — quantize() is the identity on
-    // every reading of the tile and the digital pass can skip
-    // clamping entirely. Stuck-at-high cells can break the bound
-    // (maxPackedReading reads the *stored* levels, so they are
-    // counted), in which case the tile takes the clamped ladder.
-    std::vector<char> mayClip(tiles.size());
-    for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
-        mayClip[ti] =
-            tiles[ti].array->maxPackedReading(cfg.dacBits) > maxCode;
-    }
     const std::size_t phaseStride =
         static_cast<std::size_t>(cfg.dacBits) * words * n;
     for (int rs = 0; rs < _rowSegments; ++rs) {
@@ -915,6 +690,14 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
             const std::span<const std::uint64_t> digP(
                 dig.data() + static_cast<std::size_t>(p) * phaseStride,
                 phaseStride);
+            // A phase whose digits are all zero in every window (the
+            // sign-extended high bits of small non-negative
+            // activations) reads zero on every column: a clip-free
+            // tile has nothing to merge, though every read and
+            // conversion is still charged.
+            const bool zeroPhase =
+                std::all_of(digP.begin(), digP.end(),
+                            [](std::uint64_t w) { return w == 0; });
             for (int cs = 0; cs < _colSegments; ++cs) {
                 const auto &t = tile(rs, cs);
                 const int dataCols = t.localOutputs * slices;
@@ -971,12 +754,9 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
                     }
                     continue;
                 }
-                // Unchecked tiles: one vectorized column-major
-                // digital pass over the GEMM matrix, bit-identical
-                // to n trips through evalTileAttempts (single
-                // attempt) + mergeTilePhase. The window index is the
-                // contiguous dimension, so every inner loop below is
-                // a straight-line sweep the compiler vectorizes.
+                // Unchecked tiles: one column-major digital pass over
+                // the GEMM matrix, bit-identical to n trips through
+                // evalTileAttempts (single attempt) + mergeTilePhase.
                 // Counters are commutative sums, charged in bulk:
                 part.stats.crossbarReads +=
                     static_cast<std::uint64_t>(n);
@@ -1000,36 +780,46 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
                 const Acc *unitRow = curMat.data() +
                     static_cast<std::size_t>(t.colMap[static_cast<
                         std::size_t>(dataCols)]) * n;
-                if (!mayClip[ti]) {
-                    if (adaptive) {
-                        // The adaptive ceilings cover every clean
-                        // reading whenever the fixed ones do (the
-                        // unit-certified bound dominates the data
-                        // readings, and the capped case falls back
-                        // to maxCode — see evalTileAttempts), so the
-                        // merge below stays bit-identical; only the
-                        // realized comparator cycles differ.
-                        const int unitRes = cfg.adcPolicy.resolutionFor(
-                            static_cast<Acc>(t.usedRows) *
-                                ((Acc{1} << cfg.dacBits) - 1),
-                            cap);
-                        std::uint64_t cycles = 0;
-                        for (int i = 0; i < n; ++i) {
-                            cycles += static_cast<std::uint64_t>(
-                                unitRes +
-                                dataCols *
-                                    cfg.adcPolicy.resolutionFor(
-                                        unitRow[i] * maxLevel, cap));
-                        }
-                        tileTally.bitCycles += cycles;
+                // Clip feasibility: when even the all-ones digit
+                // pattern cannot push any column past the ADC ceiling
+                // — the common case; the flip encoding exists to
+                // guarantee it for clean weights — quantize() is the
+                // identity on every reading of the tile and the
+                // digital pass can skip clamping entirely. Stuck-at-
+                // high cells can break the bound (it is taken over
+                // the *stored* levels, so they are counted), in which
+                // case the tile takes the clamped ladder.
+                const bool clipFree =
+                    t.array->maxPackedReading(cfg.dacBits) <= maxCode;
+                if (clipFree && adaptive) {
+                    // The adaptive ceilings cover every clean reading
+                    // whenever the fixed ones do (the unit-certified
+                    // bound dominates the data readings, and the
+                    // capped case falls back to maxCode — see
+                    // evalTileAttempts), so the merge stays
+                    // bit-identical; only the realized comparator
+                    // cycles differ.
+                    const int unitRes = cfg.adcPolicy.resolutionFor(
+                        static_cast<Acc>(t.usedRows) *
+                            ((Acc{1} << cfg.dacBits) - 1),
+                        cap);
+                    std::uint64_t cycles = 0;
+                    for (int i = 0; i < n; ++i) {
+                        cycles += static_cast<std::uint64_t>(
+                            unitRes +
+                            dataCols * cfg.adcPolicy.resolutionFor(
+                                           unitRow[i] * maxLevel,
+                                           cap));
                     }
-                    // Clip-free merge: quantize() is the identity on
-                    // every reading of this tile (per the bound
-                    // above), so the slices fold straight into the
-                    // column-major accumulator as power-of-two
-                    // shift/add rows through the kernel's vector
-                    // tiers, and the unit column needs no clamped
-                    // copy.
+                    tileTally.bitCycles += cycles;
+                }
+                if (clipFree && zeroPhase)
+                    continue;
+                if (clipFree && !smallBatch) {
+                    // Wide clip-free batches: the slices fold straight
+                    // into the column-major accumulator as power-of-
+                    // two shift/add rows through the kernel's vector
+                    // tiers.
                     static_assert(kWeightBias == Acc{1} << 15,
                                   "bias-removal shift assumes the "
                                   "2^15 weight bias");
@@ -1073,110 +863,104 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
                     }
                     continue;
                 }
-                // Clamped fallback (a stuck-at-high column can push
-                // readings past the ADC ceiling): the scalar ladder,
-                // clip counting included.
+                // Small batches and tiles that may clip merge window
+                // by window from the tile's merge plan.
                 std::uint64_t clips = 0;
-                // Unit column first (quantize clamp order matches the
-                // scalar ladder; a packed read can never go negative,
-                // which is the one case quantize() panics on). Under
-                // an adaptive policy the unit converts at the tile's
-                // static-bound resolution and each window's data
-                // columns clamp at the ceiling its quantized unit
-                // certifies, exactly as evalTileAttempts does.
-                const int unitRes = adaptive
-                    ? cfg.adcPolicy.resolutionFor(
-                          static_cast<Acc>(t.usedRows) *
-                              ((Acc{1} << cfg.dacBits) - 1),
-                          cap)
-                    : cap;
-                const Acc unitCeil = (Acc{1} << unitRes) - 1;
-                units.resize(static_cast<std::size_t>(n));
-                dataCeil.assign(static_cast<std::size_t>(n), maxCode);
-                std::uint64_t cycles = 0;
-                for (int i = 0; i < n; ++i) {
-                    const Acc u = unitRow[i];
-                    clips += static_cast<std::uint64_t>(u > unitCeil);
-                    const Acc uq = u > unitCeil ? unitCeil : u;
-                    units[static_cast<std::size_t>(i)] = uq;
-                    if (adaptive) {
-                        const int res = cfg.adcPolicy.resolutionFor(
-                            uq * maxLevel, cap);
-                        dataCeil[static_cast<std::size_t>(i)] =
-                            (Acc{1} << res) - 1;
-                        cycles += static_cast<std::uint64_t>(
-                            unitRes + dataCols * res);
+                const Acc *unitQ = unitRow;
+                if (!clipFree) {
+                    // The clamped ladder converts the unit column
+                    // first (quantize clamp order matches the scalar
+                    // ladder; a packed read can never go negative,
+                    // which is the one case quantize() panics on).
+                    // Under an adaptive policy the unit converts at
+                    // the tile's static-bound resolution and each
+                    // window's data columns clamp at the ceiling its
+                    // quantized unit certifies, exactly as
+                    // evalTileAttempts does.
+                    const int unitRes = adaptive
+                        ? cfg.adcPolicy.resolutionFor(
+                              static_cast<Acc>(t.usedRows) *
+                                  ((Acc{1} << cfg.dacBits) - 1),
+                              cap)
+                        : cap;
+                    const Acc unitCeil = (Acc{1} << unitRes) - 1;
+                    units.resize(static_cast<std::size_t>(n));
+                    dataCeil.assign(static_cast<std::size_t>(n),
+                                    maxCode);
+                    std::uint64_t cycles = 0;
+                    for (int i = 0; i < n; ++i) {
+                        const Acc u = unitRow[i];
+                        clips += static_cast<std::uint64_t>(u > unitCeil);
+                        const Acc uq = u > unitCeil ? unitCeil : u;
+                        units[static_cast<std::size_t>(i)] = uq;
+                        if (adaptive) {
+                            const int res = cfg.adcPolicy.resolutionFor(
+                                uq * maxLevel, cap);
+                            dataCeil[static_cast<std::size_t>(i)] =
+                                (Acc{1} << res) - 1;
+                            cycles += static_cast<std::uint64_t>(
+                                unitRes + dataCols * res);
+                        }
                     }
+                    if (adaptive)
+                        tileTally.bitCycles += cycles;
+                    unitQ = units.data();
                 }
-                if (adaptive)
-                    tileTally.bitCycles += cycles;
-                merged.resize(static_cast<std::size_t>(n));
-                const Acc full = (Acc{1} << cfg.cellBits) - 1;
-                for (int o = 0; o < t.localOutputs; ++o) {
-                    std::fill(merged.begin(), merged.end(), Acc{0});
-                    for (int s = 0; s < slices; ++s) {
-                        const int c = o * slices + s;
-                        const Acc *row = curMat.data() +
+                // Per window and output: one dot product of the slice
+                // readings and the unit reading with their signed
+                // weights, scaled by the phase weight (negated for
+                // the two's-complement sign bit).
+                const Acc phaseWeight = twosComp
+                    ? (p == phases - 1 ? -(Acc{1} << p) : Acc{1} << p)
+                    : Acc{1} << (p * cfg.dacBits);
+                const auto planMerge = [&](auto clamped) {
+                    for (int o = 0; o < t.localOutputs; ++o) {
+                        const Acc *w = t.sliceWeight.data() +
+                            static_cast<std::size_t>(o) * slices;
+                        const int *col = t.colMap.data() +
+                            static_cast<std::size_t>(o) * slices;
+                        const Acc uw =
+                            t.unitWeight[static_cast<std::size_t>(o)];
+                        Acc *accRow = batchAcc.data() +
                             static_cast<std::size_t>(
-                                t.colMap[static_cast<std::size_t>(
-                                    c)]) * n;
-                        const Acc w = Acc{1} << (s * cfg.cellBits);
-                        if (t.flipped[static_cast<std::size_t>(c)]) {
-                            for (int i = 0; i < n; ++i) {
-                                const Acc lim = dataCeil[
-                                    static_cast<std::size_t>(i)];
-                                Acc v = row[i];
-                                clips += static_cast<std::uint64_t>(
-                                    v > lim);
-                                v = v > lim ? lim : v;
-                                v = full *
-                                        units[static_cast<
-                                            std::size_t>(i)] -
-                                    v;
-                                merged[static_cast<std::size_t>(i)] +=
-                                    v * w;
-                            }
-                        } else {
-                            for (int i = 0; i < n; ++i) {
-                                const Acc lim = dataCeil[
-                                    static_cast<std::size_t>(i)];
-                                Acc v = row[i];
-                                clips += static_cast<std::uint64_t>(
-                                    v > lim);
-                                v = v > lim ? lim : v;
-                                merged[static_cast<std::size_t>(i)] +=
-                                    v * w;
-                            }
-                        }
-                    }
-                    const std::size_t k = static_cast<std::size_t>(
-                        cs * cfg.outputsPerArray() + o);
-                    Acc *accRow = batchAcc.data() + k * n;
-                    if (twosComp) {
-                        const Acc ph = Acc{1} << p;
-                        const Acc sign = p == phases - 1 ? -1 : 1;
+                                cs * cfg.outputsPerArray() + o) *
+                                n;
                         for (int i = 0; i < n; ++i) {
-                            accRow[i] += sign *
-                                (merged[static_cast<std::size_t>(i)] -
-                                 kWeightBias *
-                                     units[static_cast<std::size_t>(
-                                         i)]) *
-                                ph;
+                            const Acc *reading = curMat.data() + i;
+                            Acc m = uw * unitQ[i];
+                            if constexpr (decltype(clamped)::value) {
+                                const Acc lim = dataCeil[
+                                    static_cast<std::size_t>(i)];
+                                for (int s = 0; s < slices; ++s) {
+                                    const Acc v = reading[
+                                        static_cast<std::size_t>(
+                                            col[s]) * n];
+                                    clips +=
+                                        static_cast<std::uint64_t>(
+                                            v > lim);
+                                    m += w[s] * (v > lim ? lim : v);
+                                }
+                            } else {
+                                for (int s = 0; s < slices; ++s)
+                                    m += w[s] *
+                                        reading[static_cast<
+                                                    std::size_t>(
+                                                    col[s]) *
+                                                n];
+                            }
+                            accRow[i] += phaseWeight * m;
                         }
-                    } else {
-                        const Acc ph = Acc{1} << (p * cfg.dacBits);
-                        for (int i = 0; i < n; ++i)
-                            accRow[i] +=
-                                merged[static_cast<std::size_t>(i)] *
-                                ph;
                     }
-                }
+                };
+                if (clipFree)
+                    planMerge(std::false_type{});
+                else
+                    planMerge(std::true_type{});
                 tileTally.clips += clips;
                 if (!twosComp && cs == 0 && unitTotals) {
-                    const Acc ph = Acc{1} << (p * cfg.dacBits);
                     for (int i = 0; i < n; ++i)
-                        unitTotals[first + i] +=
-                            units[static_cast<std::size_t>(i)] * ph;
+                        unitTotals[first + i] += unitQ[i]
+                            << (p * cfg.dacBits);
                 }
             }
         }
@@ -1406,18 +1190,6 @@ BitSerialEngine::resetStats()
     adc.resetStats();
     for (auto &t : tiles)
         t.array->resetStats();
-    // The memo is a counter the engine owns too: drop the cached
-    // entries AND the hit/miss diagnostics, so a replayed campaign
-    // reports exactly what a fresh engine would instead of stale
-    // lifetime counts against a pre-warmed cache.
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        m->entries.clear();
-        m->index.clear();
-        m->clock = 0;
-        m->hits = 0;
-        m->misses = 0;
-    }
     // Rewind the op counter so a replayed workload draws the same
     // noise/drift/retry realization a fresh engine would (the arrays
     // rewind their own sequences above).
@@ -1559,14 +1331,12 @@ BitSerialEngine::injectCellFault(int rs, int cs, int row, int col,
     auto &t = tile(rs, cs);
     t.array->forceStuck(row, col, level);
     // Stored levels no longer match what programming left behind, so
-    // the packed fast path and every memoized reading stand down —
-    // the campaign tests rely on the scalar path re-observing the
-    // corrupted cell on every subsequent read. The per-tile taint
-    // lets repairTile() re-arm the fast path once the last injured
-    // tile is rebuilt.
+    // the packed fast path stands down — the campaign tests rely on
+    // the scalar path re-observing the corrupted cell on every
+    // subsequent read. The per-tile taint lets repairTile() re-arm
+    // the fast path once the last injured tile is rebuilt.
     t.tainted = true;
     _injected.store(true, std::memory_order_relaxed);
-    clearMemos();
 }
 
 TileRepairReport
@@ -1629,7 +1399,6 @@ BitSerialEngine::repairTile(int rs, int cs)
     for (const auto &other : tiles)
         tainted = tainted || other.tainted;
     _injected.store(tainted, std::memory_order_relaxed);
-    clearMemos();
     return report;
 }
 

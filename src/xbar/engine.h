@@ -38,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/epoch_log.h"
@@ -94,10 +93,12 @@ struct EngineConfig
     int spareCols = 0;
 
     /**
-     * Worker threads for dotProduct() and programming: 0 = one per
-     * hardware thread, 1 = serial (reproduces the historical
-     * behavior cycle-for-cycle). Results are bit-identical at any
-     * setting.
+     * Worker threads for programming, for the window blocks of a
+     * dotProductBatch() call, and for the scalar path's phases: 0 =
+     * one per hardware thread, 1 = serial (reproduces the historical
+     * behavior cycle-for-cycle). A packed single-window dotProduct()
+     * is one block and runs on the calling thread. Results are
+     * bit-identical at any setting.
      */
     int threads = 0;
 
@@ -126,42 +127,18 @@ struct EngineConfig
 
     /**
      * Packed bit-plane fast path: when the analog model is clean (no
-     * read noise, no drift, no injected faults) every bitline sum is
-     * computed as popcounts over 64-bit bit-planes of the stored
-     * levels instead of the scalar O(rows x cols) loop, and the ABFT
-     * checksum is verified digitally from the same packed sums.
-     * Results, EngineStats, per-tile AdcTally, and TransientStats
-     * are bit-identical either way (tests assert it); false forces
-     * the legacy scalar path. Noisy / drifting configs and engines
-     * with injectCellFault() activity always take the scalar path
-     * regardless of this knob. See docs/performance.md.
+     * read noise, no drift, no injected faults) every dot product,
+     * single or batched, runs through dotProductBatch()'s popcount
+     * GEMM over 64-bit bit-planes of the stored levels instead of the
+     * scalar O(rows x cols) loop, and the ABFT checksum is verified
+     * digitally from the same packed sums. Results, EngineStats,
+     * per-tile AdcTally, and TransientStats are bit-identical either
+     * way (tests assert it); false selects the scalar reference the
+     * golden tests compare against. Noisy / drifting configs and
+     * engines with injectCellFault() activity always take the scalar
+     * path regardless of this knob. See docs/performance.md.
      */
     bool fastPath = true;
-
-    /**
-     * Per-tile LRU memo capacity for the fast path: a (phase, row
-     * segment) whose digit vector was already evaluated against a
-     * tile replays the cached quantized columns, unit reading, and
-     * counter deltas instead of re-reading — conv windows and
-     * sign-extended high phases repeat digit vectors heavily. 0
-     * disables memoization. Replayed deltas equal computed deltas,
-     * so results and all counters stay exact at any hit pattern.
-     */
-    int memoEntries = 64;
-
-    /**
-     * Batched window execution: when the fast path is active,
-     * CompiledModel drives every window of a shared-kernel layer
-     * through dotProductBatch(), which stages the whole layer's digit
-     * planes into one plane-major bit-matrix and evaluates all
-     * windows per tile-phase in a single popcount GEMM
-     * (xbar/batch_kernel.h). Results, EngineStats, per-tile AdcTally,
-     * and TransientStats are bit-identical to per-window dotProduct()
-     * calls (tests assert it); only the diagnostic memo hit/miss
-     * split differs (the batched path does not consult the memo).
-     * false restores the per-window path.
-     */
-    bool batchWindows = true;
 
     /**
      * The ADC resolution/energy policy (xbar/adc_policy.h): one
@@ -276,7 +253,8 @@ class BitSerialEngine
      * Execute one full bit-serial dot-product operation: 16/v
      * crossbar read phases against all arrays, ADC conversion, and
      * digital merging. Returns the exact signed dot products, one
-     * per output. Safe to call concurrently from multiple threads.
+     * per output. On the fast path this is dotProductBatch(inputs,
+     * 1). Safe to call concurrently from multiple threads.
      */
     std::vector<Acc> dotProduct(std::span<const Word> inputs) const;
 
@@ -284,20 +262,19 @@ class BitSerialEngine
      * Execute `count` dot products in one batched call: `inputs`
      * holds count concatenated input vectors (window-major,
      * inputs[i * numInputs() + r]) and the result holds the count
-     * concatenated outputs (out[i * numOutputs() + k]). On the fast
-     * path the digit planes of every window are staged once per
-     * (phase, row segment) into a plane-major bit-matrix and each
-     * tile is evaluated for all windows in one popcount GEMM — the
-     * per-call staging, dispatch, and memo-probe overhead of
-     * dotProduct() is paid once per layer instead of once per
-     * window. Results and every counter (EngineStats, per-tile
-     * AdcTally, TransientStats, array read cycles) are bit-identical
-     * to `count` sequential dotProduct() calls at any thread count
-     * and any dispatch tier; only memoHits()/memoMisses() differ
-     * (diagnostic-only; this path bypasses the memo). Noisy,
-     * drifting, or fault-injected engines fall back to per-window
-     * dotProduct() calls internally, so the batch entry point is
-     * always safe to use. Thread-safe like dotProduct().
+     * concatenated outputs (out[i * numOutputs() + k]). This is the
+     * engine's one packed execution path: the digit planes of every
+     * window are staged once per row segment into a plane-major
+     * bit-matrix and each tile is evaluated for all windows per phase
+     * in one popcount GEMM; batches below kernel::kSmallBatch sweep
+     * and merge window by window instead. Results and every counter
+     * (EngineStats, per-tile AdcTally, TransientStats, array read
+     * cycles) are bit-identical to `count` sequential scalar
+     * dotProduct() calls at any thread count and any dispatch tier.
+     * Noisy, drifting, or fault-injected engines fall back to
+     * per-window scalar dotProduct() calls internally, so the batch
+     * entry point is always safe to use. Thread-safe like
+     * dotProduct().
      */
     std::vector<Acc> dotProductBatch(std::span<const Word> inputs,
                                      int count) const;
@@ -325,11 +302,9 @@ class BitSerialEngine
 
     /**
      * Zero every counter the engine owns: the EngineStats tallies,
-     * the ADC sample/clip counts, each tile's crossbar read cycles,
-     * and the digit-vector memo state (cached entries *and* the
-     * hit/miss diagnostics), so post-reset accounting starts from
-     * zero and a replayed campaign reports the same diagnostics a
-     * fresh engine would.
+     * the ADC sample/clip counts, and each tile's crossbar read
+     * cycles, so post-reset accounting starts from zero and a
+     * replayed campaign reports what a fresh engine would.
      */
     void resetStats();
 
@@ -425,17 +400,6 @@ class BitSerialEngine
      */
     bool fastPathActive() const;
 
-    /**
-     * Digit-vector memo replay hits / misses (all tiles, since
-     * construction or the last resetStats()). Diagnostic only:
-     * concurrent dotProduct() calls may race to populate an entry,
-     * so the split is interleaving-dependent even though results and
-     * EngineStats never are — and dotProductBatch() bypasses the
-     * memo entirely.
-     */
-    std::uint64_t memoHits() const;
-    std::uint64_t memoMisses() const;
-
   private:
     /**
      * Cache-line-aligned: tiles sit adjacent in the `tiles` vector and
@@ -452,6 +416,15 @@ class BitSerialEngine
                                     ///< layout (differential
                                     ///< reprogramming baseline).
         std::vector<int> colMap;    ///< Logical -> physical column.
+        /** Merge plan of the small-batch digital pass: per logical
+         *  data column, its signed slice weight (+-2^(s*w), negative
+         *  when flipped — the unflip folded in); per local output,
+         *  the unit reading's weight (the flipped slices' (2^w - 1)
+         *  * 2^(s*w) terms, minus the 2^15 weight bias in two's
+         *  complement mode). A window's merged phase value is then
+         *  one dot product over its readings. */
+        std::vector<Acc> sliceWeight;
+        std::vector<Acc> unitWeight;
         resilience::FaultMap faults; ///< Latest pass's detections.
         int remappedColumns = 0;
         int uncorrectableCells = 0;
@@ -480,75 +453,32 @@ class BitSerialEngine
         std::vector<int> digits;  ///< Scratch input-digit buffer.
         std::vector<Acc> colQ;    ///< Scratch quantized columns.
         std::vector<Acc> currents; ///< Scratch bitline readings.
-        /** Scratch packed digit planes (dacBits x planeWords). */
-        std::vector<std::uint64_t> digitPlanes;
-        std::uint64_t planeHash = 0; ///< Hash of digitPlanes.
-        /** Batched-path scratch: column-major block accumulator
-         *  (numOutputs x n), per-window unit readings, and the
-         *  per-output merged slice sums (runBatchBlock). */
+        /** Batched-path scratch (runBatchBlock): the plane-major
+         *  digit matrix, the GEMM readings (physCols x n), the
+         *  column-major block accumulator (numOutputs x n), and the
+         *  clamped ladder's per-window quantized unit readings and
+         *  data-column code ceilings. */
+        std::vector<std::uint64_t> dig;
+        std::vector<Acc> curMat;
         std::vector<Acc> batchAcc;
         std::vector<Acc> unitsBatch;
-        std::vector<Acc> mergedBatch;
+        std::vector<Acc> dataCeil;
         EngineStats stats;
         resilience::TransientStats transient;
         std::vector<AdcTally> tileAdc; ///< ADC activity per tile.
-    };
-
-    /**
-     * One memoized (digit vector -> tile reading): the quantized
-     * data columns, the unit reading, and the exact counter deltas a
-     * fresh evaluation would produce, so a replay is indistinguishable
-     * from a recompute. Valid until the tile is reprogrammed or a
-     * fault is injected (both clear the memo).
-     */
-    struct MemoEntry
-    {
-        std::uint64_t hash = 0;
-        std::vector<std::uint64_t> key; ///< The packed digit planes.
-        std::vector<Acc> colQ;
-        Acc unit = 0;
-        std::uint64_t reads = 0; ///< crossbarReads delta (attempts).
-        AdcTally tally;          ///< ADC sample/clip delta.
-        resilience::TransientStats transient; ///< ABFT delta.
-        std::uint64_t lastUse = 0; ///< LRU clock.
-    };
-
-    /**
-     * Per-tile memo; the mutex shards contention across tiles. The
-     * hash index keeps lookups O(1) so large capacities (sized to a
-     * conv layer's windows x phases working set) stay cheap; it is a
-     * multimap because distinct keys may share an FNV hash (replay
-     * verifies full key equality before trusting an entry).
-     */
-    struct alignas(kCacheLineBytes) TileMemo
-    {
-        std::mutex m;
-        std::vector<MemoEntry> entries;
-        std::unordered_multimap<std::uint64_t, std::size_t> index;
-        std::uint64_t clock = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
     };
 
     ArrayTile &tile(int rs, int cs);
     const ArrayTile &tile(int rs, int cs) const;
 
     /**
-     * Evaluate phase p against row segment rs into `part`. `opSeq`
-     * is this dotProduct() call's operation number; together with p
-     * it keys the read-noise draw so any execution order reproduces
-     * the serial noise realization.
+     * Scalar evaluation of phase p against row segment rs into
+     * `part`. `opSeq` is this dotProduct() call's operation number;
+     * together with p it keys the read-noise draw so any execution
+     * order reproduces the serial noise realization.
      */
     void runPhaseSegment(std::span<const Word> inputs, int p, int rs,
                          std::uint64_t opSeq, Partial &part) const;
-
-    /**
-     * Extract phase p's input digits for row segment rs directly
-     * into part.digitPlanes (bypassing the scalar digit buffer) and
-     * hash them for the memo key.
-     */
-    void packDigitPlanes(std::span<const Word> inputs, int p, int rs,
-                         int used, Partial &part) const;
 
     /**
      * The bounded read-attempt loop every execution path shares:
@@ -556,7 +486,7 @@ class BitSerialEngine
      * responsible for read-cycle accounting), everything else — ADC
      * quantization, unflipping, the ABFT check/retry/give-up ladder,
      * and every counter those touch — is common code, which is what
-     * keeps the scalar, packed, and batched paths counter-identical.
+     * keeps the scalar and packed paths counter-identical.
      * Fills part.colQ and `unit`.
      */
     template <typename ReadFn>
@@ -566,17 +496,6 @@ class BitSerialEngine
                           ReadFn readFn) const;
 
     /**
-     * Fresh evaluation of one (phase, tile): evalTileAttempts with
-     * the scalar or packed single-vector read primitive (`fast`
-     * picks which).
-     */
-    void evalTilePhase(const ArrayTile &t, int dataCols,
-                       bool checking, bool fast,
-                       std::uint64_t baseSeq, std::uint64_t opSeq,
-                       Partial &part, AdcTally &tileTally,
-                       Acc &unit) const;
-
-    /**
      * Digital merge of one (phase, tile) reading into a window's
      * accumulators: shift-and-add the slice columns of part.colQ,
      * remove the per-phase weight bias (two's complement) or
@@ -584,7 +503,7 @@ class BitSerialEngine
      * is the window's full result (two's complement) or rawSum
      * (biased) vector; `unitTotal` accumulates the row-side unit
      * readings once per (phase, row segment). Shared verbatim by the
-     * per-window and batched paths.
+     * scalar path and the packed path's ABFT tiles.
      */
     void mergeTilePhase(const ArrayTile &t, int cs, int p, Acc unit,
                         Partial &part, std::span<Acc> acc,
@@ -610,31 +529,15 @@ class BitSerialEngine
 
     /**
      * Fast-path evaluation of one contiguous window block [first,
-     * first + n): per (phase, row segment) one batched packing, per
-     * tile one popcount GEMM, then the shared per-window digital
-     * pass. Results land in the windows' slices of `out` (rawSum in
-     * biased mode, corrected by the caller) and `unitTotals` (biased
-     * mode only, else null); counters in `part`.
+     * first + n): per row segment one batched packing, per
+     * (phase, tile) one popcount GEMM, then the digital pass. Results
+     * land in the windows' slices of `out` (rawSum in biased mode,
+     * corrected by the caller) and `unitTotals` (biased mode only,
+     * else null); counters in `part`.
      */
     void runBatchBlock(std::span<const Word> inputs, int first, int n,
                        std::span<Acc> out, Acc *unitTotals,
                        Partial &part) const;
-
-    /**
-     * Replay a memoized reading of tile (rs, cs) for the digit
-     * planes in `part`, merging the cached colQ/unit/counter deltas.
-     * Returns false on a miss (the caller evaluates and inserts).
-     */
-    bool memoReplay(int rs, int cs, Partial &part, Acc &unit) const;
-
-    /** Insert a fresh evaluation's deltas into the tile memo. */
-    void memoInsert(int rs, int cs, const Partial &part, Acc unit,
-                    const EngineStats &statsBefore,
-                    const AdcTally &tallyBefore,
-                    const resilience::TransientStats &trBefore) const;
-
-    /** Drop every tile's memo (reprogram / fault injection). */
-    void clearMemos() const;
 
     /** Program one tile; returns the cell writes performed. */
     std::int64_t programTile(ArrayTile &t,
@@ -694,8 +597,6 @@ class BitSerialEngine
     /** Incremental fold into _folded; caller holds _foldMutex. */
     void foldLocked() const;
 
-    /** Per-tile digit-vector memos (each owns its mutex). */
-    mutable std::vector<std::unique_ptr<TileMemo>> memos;
     /** injectCellFault() happened: stored levels no longer match
      *  what programming left, so the packed path stands down. */
     mutable std::atomic<bool> _injected{false};
@@ -708,7 +609,6 @@ class BitSerialEngine
     // inside this header.
     static constexpr std::size_t kArrayTileAlign = alignof(ArrayTile);
     static constexpr std::size_t kPartialAlign = alignof(Partial);
-    static constexpr std::size_t kTileMemoAlign = alignof(TileMemo);
 };
 
 } // namespace isaac::xbar

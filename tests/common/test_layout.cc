@@ -15,8 +15,8 @@
  *    log exists to remove.
  *  - StealDeque: thieves hammer _top with CAS while the owner runs on
  *    _bottom; each lives on its own line.
- *  - BitSerialEngine's ArrayTile / Partial / TileMemo: adjacent
- *    vector elements handed to different workers.
+ *  - BitSerialEngine's ArrayTile / Partial: adjacent vector
+ *    elements handed to different workers.
  *  - InferenceSession's Deck: per-worker deque + claim flag.
  *  - Adc sample/clip counters: every op retire RMWs them.
  */
@@ -52,8 +52,6 @@ static_assert(sizeof(StealDeque<void *>) >= 3 * kCacheLineBytes);
 static_assert(xbar::BitSerialEngine::kArrayTileAlign ==
               kCacheLineBytes);
 static_assert(xbar::BitSerialEngine::kPartialAlign == kCacheLineBytes);
-static_assert(xbar::BitSerialEngine::kTileMemoAlign ==
-              kCacheLineBytes);
 
 // Session scheduler: one deck per pump.
 static_assert(serve::InferenceSession::kDeckAlign == kCacheLineBytes);

@@ -77,10 +77,11 @@ TEST(Accelerator, MultiSegmentLayersBitExact)
 
 TEST(Accelerator, BatchedWindowExecutionIsInvisible)
 {
-    // engine.batchWindows only changes how a layer's windows are
-    // driven (one dotProductBatch() vs per-window dotProduct());
-    // every layer output and every engine counter must be identical.
-    // Multi-segment conv layers stress the tiled path.
+    // The packed path drives every shared-kernel layer — one-window
+    // FC layers included — through one dotProductBatch() call; every
+    // layer output and every engine counter must equal the scalar
+    // reference's per-window dotProduct() walk. Multi-segment conv
+    // layers stress the tiled path.
     nn::NetworkBuilder b("batch-net", 8, 8, 8);
     b.conv(5, 24, 1, 0); // dot length 200, 24 outputs, 16 windows
     b.conv(3, 8, 1, 0);
@@ -90,10 +91,10 @@ TEST(Accelerator, BatchedWindowExecutionIsInvisible)
     const CompileOptions opts;
     const auto input = nn::synthesizeInput(8, 8, 8, 9, opts.format);
 
-    arch::IsaacConfig batched; // default: batchWindows on
-    ASSERT_TRUE(batched.engine.batchWindows);
+    arch::IsaacConfig batched; // default: packed path on
+    ASSERT_TRUE(batched.engine.fastPath);
     arch::IsaacConfig perWindow;
-    perWindow.engine.batchWindows = false;
+    perWindow.engine.fastPath = false;
 
     const auto ma = Accelerator(batched).compile(net, weights, opts);
     const auto mb = Accelerator(perWindow).compile(net, weights, opts);

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/rng.h"
 #include "sim/trace.h"
 
 namespace isaac::sim {
@@ -55,6 +58,76 @@ TEST(SlotResource, ManyReservationsStayBounded)
         last = r.reserve(static_cast<Cycle>(i / 4));
     EXPECT_GE(last, 100000u / 4);
     EXPECT_EQ(r.totalReservations(), 100000u);
+}
+
+/** The cycle-by-cycle probe reserve() must book identically to. */
+class NaiveSlots
+{
+  public:
+    explicit NaiveSlots(int slots) : slots(slots) {}
+
+    Cycle
+    reserve(Cycle earliest)
+    {
+        Cycle cycle = earliest;
+        for (auto it = used.find(cycle);
+             it != used.end() && it->second >= slots;
+             it = used.find(cycle))
+            ++cycle;
+        ++used[cycle];
+        if (used.size() > 1u << 20)
+            used.erase(used.begin(),
+                       used.lower_bound(cycle > (1u << 18)
+                                            ? cycle - (1u << 18)
+                                            : 0));
+        return cycle;
+    }
+
+  private:
+    int slots;
+    std::map<Cycle, int> used;
+};
+
+TEST(SlotResource, SkipLinksBookLikeTheNaiveProbe)
+{
+    Rng rng(0x5107);
+    for (const int slots : {1, 2, 3}) {
+        SlotResource fast(slots);
+        NaiveSlots naive(slots);
+        // Requests drift forward with backward jumps into the
+        // backlog and into long-past cycles.
+        Cycle base = 0;
+        for (int i = 0; i < 5000; ++i) {
+            base += static_cast<Cycle>(rng.uniform(0, 2));
+            Cycle want = base;
+            const auto kind = rng.uniform(0, 9);
+            if (kind == 0)
+                want = static_cast<Cycle>(rng.uniform(0, base));
+            else if (kind < 4)
+                want = base > 50 ? base - 50 : 0;
+            ASSERT_EQ(fast.reserve(want), naive.reserve(want))
+                << "slots " << slots << " op " << i;
+        }
+    }
+}
+
+TEST(SlotResource, GarbageCollectedCyclesAreFreeAgain)
+{
+    // One reservation per even cycle fills the history past the
+    // garbage-collection threshold; the collected cycles book again.
+    SlotResource fast(1);
+    NaiveSlots naive(1);
+    const Cycle n = (Cycle{1} << 20) + 8;
+    for (Cycle i = 0; i < n; ++i)
+        ASSERT_EQ(fast.reserve(2 * i), naive.reserve(2 * i));
+    EXPECT_EQ(naive.reserve(0), 0u);
+    EXPECT_EQ(fast.reserve(0), 0u);
+    Rng rng(0x6C);
+    for (int i = 0; i < 2000; ++i) {
+        const auto want = static_cast<Cycle>(
+            rng.uniform(0, static_cast<std::int64_t>(2 * n)));
+        ASSERT_EQ(fast.reserve(want), naive.reserve(want)) << i;
+    }
 }
 
 } // namespace

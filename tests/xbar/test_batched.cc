@@ -3,14 +3,16 @@
  * The plane-major batched popcount GEMM: kernel-level bit-exactness
  * of every compiled dispatch tier against a direct triple-loop
  * oracle, and engine-level equivalence of dotProductBatch() with N
- * sequential dotProduct() calls — results, EngineStats, per-tile
- * AdcTally, TransientStats, and read cycles, at every thread count,
- * every forced tier, and across the encoding sweep. The batched path
+ * sequential scalar dotProduct() calls — results, EngineStats,
+ * per-tile AdcTally, TransientStats, and read cycles, at every thread
+ * count, every forced tier, every batch size on both sides of the
+ * small-batch shape, and across the encoding sweep. The packed path
  * is only allowed to exist because these never move.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -219,6 +221,8 @@ expectTracesEqual(const RunTrace &a, const RunTrace &b,
         EXPECT_EQ(a.tiles[i].samples, b.tiles[i].samples)
             << "tile " << i;
         EXPECT_EQ(a.tiles[i].clips, b.tiles[i].clips) << "tile " << i;
+        EXPECT_EQ(a.tiles[i].bitCycles, b.tiles[i].bitCycles)
+            << "tile " << i;
     }
     EXPECT_EQ(a.readCycles, b.readCycles);
     EXPECT_EQ(a.adcClips, b.adcClips);
@@ -279,8 +283,31 @@ sweepPoints()
         p.cfg.noise.maxProgramPulses = 6;
         points.push_back(p);
     }
+    {
+        SweepPoint p{"adaptive-adc", {}};
+        p.cfg.adcPolicy = AdcPolicy::adaptive();
+        points.push_back(p);
+    }
+    {
+        // Capped below the 8-bit requirement: clean tiles clip, so
+        // they run the clamped ladder with per-window ceilings.
+        SweepPoint p{"adaptive6-clamped", {}};
+        p.cfg.adcPolicy = AdcPolicy::adaptive(6);
+        points.push_back(p);
+    }
+    {
+        // Dense stuck-at-high cells push column sums past the 8-bit
+        // ceiling: the tiles run the clamped ladder and count clips.
+        SweepPoint p{"stuck-high-clamped", {}};
+        p.cfg.noise.stuckAtFraction = 0.3;
+        p.cfg.noise.stuckMode = StuckMode::On;
+        points.push_back(p);
+    }
     return points;
 }
+
+/** Batch sizes on both sides of kernel::kSmallBatch and its tails. */
+constexpr int kCounts[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 64};
 
 TEST(Batched, GoldenEquivalenceSweep)
 {
@@ -289,22 +316,27 @@ TEST(Batched, GoldenEquivalenceSweep)
     const auto weights = randomWords(rng, n * m);
 
     for (const auto &point : sweepPoints()) {
-        // Ground truth: the legacy scalar path, window by window.
+        // Ground truth: the scalar reference path, window by window.
         EngineConfig scalar = point.cfg;
         scalar.threads = 1;
         scalar.fastPath = false;
-        scalar.memoEntries = 0;
 
-        // Counts straddle the block-size clamp (min 8) and include a
-        // repeated window (the memo-free batch must not care).
-        for (const int count : {1, 5, 13}) {
+        // Counts straddle the small-batch shape, the vector widths,
+        // and the block-size clamp (min 8), and include a repeated
+        // window and an all-ones window (every digit set: the largest
+        // reading each column can produce).
+        std::uint64_t clips = 0;
+        for (const int count : kCounts) {
             auto inputs = randomWords(rng, n * count);
             if (count >= 3)
                 std::copy(inputs.begin(), inputs.begin() + n,
                           inputs.begin() +
                               static_cast<std::size_t>(2) * n);
+            if (count >= 2)
+                std::fill(inputs.end() - n, inputs.end(), Word{-1});
             const auto golden = runSequential(scalar, weights, n, m,
                                               inputs, count);
+            clips += golden.adcClips;
 
             for (const int threads : {1, 2, 4, 8}) {
                 EngineConfig fast = point.cfg;
@@ -317,6 +349,11 @@ TEST(Batched, GoldenEquivalenceSweep)
                         std::to_string(count) + " t" +
                         std::to_string(threads));
             }
+        }
+        // The dense stuck-at-high point must actually clip, so the
+        // clamped ladder's clip counting is compared, not just run.
+        if (std::string(point.name) == "stuck-high-clamped") {
+            EXPECT_GT(clips, 0u);
         }
     }
 }
@@ -332,7 +369,6 @@ TEST(Batched, EveryCompiledTierIsInvisibleAtEngineLevel)
     EngineConfig scalar;
     scalar.threads = 1;
     scalar.fastPath = false;
-    scalar.memoEntries = 0;
     const auto golden =
         runSequential(scalar, weights, n, m, inputs, count);
 
@@ -347,6 +383,135 @@ TEST(Batched, EveryCompiledTierIsInvisibleAtEngineLevel)
             std::string("tier ") +
                 kernel::tierName(static_cast<kernel::Tier>(t)));
     }
+}
+
+TEST(Batched, SmallBatchShapeIsInvisibleAtEveryCompiledTier)
+{
+    // Every compiled tier x the encodings the small-batch merge plan
+    // folds (two's complement, biased with a multi-bit DAC, adaptive
+    // ADC, the clamped ladder, ABFT tiles) x batch sizes on both
+    // sides of kernel::kSmallBatch, plus the MLP's 784 -> 256 layer
+    // (7 x 16 tiles) that single-window FC nodes run.
+    struct Shape
+    {
+        int n, m;
+        std::vector<int> counts;
+        std::vector<const char *> points;
+    };
+    const Shape shapes[] = {
+        {200, 20, {1, 2, 3, 7, 8, 9, 15, 16, 17, 64},
+         {"default-ce", "biased-dac2", "adaptive-adc",
+          "adaptive6-clamped", "stuck-high-clamped", "w4-abft"}},
+        {784, 256, {1, 2, 17}, {"default-ce"}},
+    };
+    const auto points = sweepPoints();
+    Rng rng(0x5A11);
+    TierGuard guard;
+    for (const auto &shape : shapes) {
+        const auto weights = randomWords(rng, shape.n * shape.m);
+        for (const char *name : shape.points) {
+            const auto point = std::find_if(
+                points.begin(), points.end(), [&](const SweepPoint &p) {
+                    return std::string(p.name) == name;
+                });
+            ASSERT_NE(point, points.end()) << name;
+            for (const int count : shape.counts) {
+                // Small non-negative activations (ReLU outputs) leave
+                // the high phases all-zero in every window; even
+                // counts mix them with full-range windows.
+                auto inputs = randomWords(rng, shape.n * count, 0, 255);
+                if (count % 2 == 0) {
+                    const auto full = randomWords(rng, shape.n * count);
+                    for (std::size_t i = 0; i < inputs.size(); i += 2)
+                        inputs[i] = full[i];
+                }
+                EngineConfig scalar = point->cfg;
+                scalar.threads = 1;
+                scalar.fastPath = false;
+                const auto golden = runSequential(
+                    scalar, weights, shape.n, shape.m, inputs, count);
+                for (int t = 0;
+                     t <= static_cast<int>(kernel::detectedTier());
+                     ++t) {
+                    kernel::forceTier(static_cast<kernel::Tier>(t));
+                    EngineConfig fast = point->cfg;
+                    fast.threads = 1;
+                    const std::string label = std::string(name) +
+                        " " + std::to_string(shape.n) + "x" +
+                        std::to_string(shape.m) + " count" +
+                        std::to_string(count) + " tier " +
+                        kernel::tierName(static_cast<kernel::Tier>(t));
+                    expectTracesEqual(golden,
+                                      runBatched(fast, weights,
+                                                 shape.n, shape.m,
+                                                 inputs, count),
+                                      label);
+                    if (count == 1) {
+                        expectTracesEqual(
+                            golden,
+                            runSequential(fast, weights, shape.n,
+                                          shape.m, inputs, count),
+                            label + " dotProduct");
+                    }
+                }
+                kernel::resetTierOverride();
+            }
+        }
+    }
+}
+
+TEST(Batched, ClipBoundFollowsStuckCellsAfterRepair)
+{
+    // The clip-free merge trusts a per-array bound cached with the
+    // packed planes. After a first read has cached it, a column
+    // stuck high and a repair that re-arms the packed path must move
+    // the tile onto the clamped ladder with its clips counted — a
+    // stale bound would let readings past the ADC ceiling through
+    // unclamped.
+    const int n = 128, m = 16;
+    Rng rng(0xC11B);
+    const auto weights = randomWords(rng, n * m);
+    const auto weights2 = randomWords(rng, n * m);
+    // Negative activations set every high bit, so a fully stuck
+    // column reads 3 * 128 > 255 on those phases.
+    const auto inputs = randomWords(rng, n * 17, -4, -1);
+    const std::span<const Word> one(inputs.data(),
+                                    static_cast<std::size_t>(n));
+
+    EngineConfig cfg;
+    cfg.threads = 1;
+    EngineConfig scalar = cfg;
+    scalar.fastPath = false;
+    BitSerialEngine engine(cfg, weights, n, m);
+    BitSerialEngine ref(scalar, weights, n, m);
+    EXPECT_EQ(engine.dotProduct(one), ref.dotProduct(one));
+    EXPECT_EQ(engine.adcClips(), 0u);
+
+    for (int r = 0; r < n; ++r) {
+        engine.injectCellFault(0, 0, r, 0, 3);
+        ref.injectCellFault(0, 0, r, 0, 3);
+    }
+    const auto report = engine.repairTile(0, 0);
+    ref.repairTile(0, 0);
+    EXPECT_GT(report.uncorrectableCells, 0); // no spares to move onto
+    ASSERT_TRUE(engine.fastPathActive());
+
+    const auto check = [&](const char *label) {
+        SCOPED_TRACE(label);
+        EXPECT_EQ(engine.dotProduct(one), ref.dotProduct(one));
+        EXPECT_EQ(engine.dotProductBatch(inputs, 17),
+                  ref.dotProductBatch(inputs, 17));
+        EXPECT_GT(engine.adcClips(), 0u);
+        EXPECT_EQ(engine.adcClips(), ref.adcClips());
+        EXPECT_TRUE(engine.stats() == ref.stats());
+        EXPECT_EQ(engine.tileAdcTally(0, 0).clips,
+                  ref.tileAdcTally(0, 0).clips);
+        EXPECT_EQ(engine.readCycles(), ref.readCycles());
+    };
+    check("after repair");
+    engine.reprogram(weights2);
+    ref.reprogram(weights2);
+    check("after reprogram");
 }
 
 TEST(Batched, NoisyConfigFallsBackPerWindow)

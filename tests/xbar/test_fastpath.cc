@@ -1,13 +1,14 @@
 /**
  * @file
- * Packed bit-plane fast path + digit-vector memoization: the golden
- * equivalence suite. The fast path is only allowed to exist because
- * it is *invisible* — results, EngineStats, per-tile AdcTally, and
- * TransientStats must be bit-identical to the legacy scalar path for
- * every configuration and thread count, memo hits included. These
+ * Packed bit-plane fast path: the golden equivalence suite for
+ * single-vector dotProduct() calls. The fast path is only allowed to
+ * exist because it is *invisible* — results, EngineStats, per-tile
+ * AdcTally, and TransientStats must be bit-identical to the scalar
+ * reference path for every configuration and thread count. These
  * tests sweep the encoding space, prove the dispatch rules
  * (noisy/drifting/injected configs fall back to scalar), and prove
- * invalidation on reprogramming.
+ * invalidation on reprogramming. Batched calls are swept in
+ * test_batched.cc.
  */
 
 #include <gtest/gtest.h>
@@ -158,9 +159,8 @@ TEST(FastPath, GoldenEquivalenceSweep)
     const int n = 200, m = 20; // 2 row segments x >=2 col segments
     Rng rng(0xFA57);
     const auto weights = randomWords(rng, n * m);
-    // Sequence with repeats and a small-magnitude vector: exercises
-    // memo hits within a call (sign-extended phases), across calls,
-    // and across distinct keys.
+    // Sequence with repeats and a small-magnitude vector (its
+    // sign-extended high phases present all-zero digit vectors).
     std::vector<std::vector<Word>> inputs;
     inputs.push_back(randomWords(rng, n));
     inputs.push_back(randomWords(rng, n, -50, 50));
@@ -172,7 +172,6 @@ TEST(FastPath, GoldenEquivalenceSweep)
         EngineConfig scalar = point.cfg;
         scalar.threads = 1;
         scalar.fastPath = false;
-        scalar.memoEntries = 0;
         const auto golden =
             runSequence(scalar, weights, n, m, inputs);
 
@@ -180,65 +179,12 @@ TEST(FastPath, GoldenEquivalenceSweep)
             EngineConfig fast = point.cfg;
             fast.threads = threads;
             fast.fastPath = true;
-            fast.memoEntries = 0;
             expectTracesEqual(
                 golden, runSequence(fast, weights, n, m, inputs),
                 std::string(point.name) + " fast t" +
                     std::to_string(threads));
-
-            EngineConfig memo = point.cfg;
-            memo.threads = threads;
-            memo.fastPath = true;
-            memo.memoEntries = 64;
-            expectTracesEqual(
-                golden, runSequence(memo, weights, n, m, inputs),
-                std::string(point.name) + " memo t" +
-                    std::to_string(threads));
         }
     }
-}
-
-TEST(FastPath, MemoActuallyEngagesAndStaysExact)
-{
-    EngineConfig cfg;
-    cfg.threads = 1;
-    Rng rng(0x5EED);
-    const auto weights = randomWords(rng, 128 * 16);
-    const auto x = randomWords(rng, 128);
-    BitSerialEngine engine(cfg, weights, 128, 16);
-    ASSERT_TRUE(engine.fastPathActive());
-
-    const auto first = engine.dotProduct(x);
-    const auto missesAfterFirst = engine.memoMisses();
-    EXPECT_GT(missesAfterFirst, 0u);
-    // The second identical call replays every (phase, tile) reading.
-    const auto second = engine.dotProduct(x);
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(engine.memoMisses(), missesAfterFirst);
-    EXPECT_EQ(engine.memoHits(), missesAfterFirst);
-    // Counter parity with an unmemoized engine over the same ops.
-    EngineConfig plain = cfg;
-    plain.memoEntries = 0;
-    BitSerialEngine reference(plain, weights, 128, 16);
-    reference.dotProduct(x);
-    reference.dotProduct(x);
-    EXPECT_TRUE(engine.stats() == reference.stats());
-    EXPECT_EQ(engine.readCycles(), reference.readCycles());
-}
-
-TEST(FastPath, SmallMagnitudeInputsShareSignPhases)
-{
-    // Non-negative small activations (a ReLU'd, quantized layer's
-    // reality): bits 7..15 are all zero, so 9 of the 16 phases
-    // present the all-zero digit vector and hit one memo entry.
-    EngineConfig cfg;
-    cfg.threads = 1;
-    Rng rng(0xAC71);
-    const auto weights = randomWords(rng, 128 * 16);
-    const auto x = randomWords(rng, 128, 0, 127);
-    BitSerialEngine engine(cfg, weights, 128, 16);
-    engine.dotProduct(x);
-    EXPECT_GE(engine.memoHits(), 8u);
 }
 
 TEST(FastPath, InvalidationOnReprogram)
@@ -254,10 +200,9 @@ TEST(FastPath, InvalidationOnReprogram)
     BitSerialEngine engine(cfg, w1, n, m);
     EngineConfig scalar = cfg;
     scalar.fastPath = false;
-    scalar.memoEntries = 0;
 
     // program -> read -> reprogram -> read: the second read must see
-    // the new weights, not a memoized reading of the old ones.
+    // the new weights, not stale packed planes of the old ones.
     {
         BitSerialEngine ref(scalar, w1, n, m);
         EXPECT_EQ(engine.dotProduct(x), ref.dotProduct(x));
@@ -281,12 +226,10 @@ TEST(FastPath, NoisyConfigFallsBackToScalar)
     BitSerialEngine engine(noisy, weights, 128, 16);
     EXPECT_FALSE(engine.fastPathActive());
     const auto got = engine.dotProduct(x);
-    EXPECT_EQ(engine.memoHits() + engine.memoMisses(), 0u);
 
     // The knob is inert under noise: identical noise realization.
     EngineConfig legacy = noisy;
     legacy.fastPath = false;
-    legacy.memoEntries = 0;
     BitSerialEngine ref(legacy, weights, 128, 16);
     EXPECT_EQ(got, ref.dotProduct(x));
     EXPECT_TRUE(engine.stats() == ref.stats());
@@ -314,16 +257,15 @@ TEST(FastPath, InjectionDisablesFastPath)
     const auto x = randomWords(rng, 128);
 
     BitSerialEngine engine(cfg, weights, 128, 16);
-    engine.dotProduct(x); // populate the memo while clean
+    engine.dotProduct(x); // build the packed planes while clean
     ASSERT_TRUE(engine.fastPathActive());
     engine.injectCellFault(0, 0, 3, 5, 0);
     EXPECT_FALSE(engine.fastPathActive());
 
     // Post-injection reads must match a scalar engine with the same
-    // injection — the memoized clean readings must not leak through.
+    // injection — the clean packed planes must not leak through.
     EngineConfig scalar = cfg;
     scalar.fastPath = false;
-    scalar.memoEntries = 0;
     BitSerialEngine ref(scalar, weights, 128, 16);
     ref.dotProduct(x);
     ref.injectCellFault(0, 0, 3, 5, 0);
@@ -365,7 +307,7 @@ TEST(FastPath, CrossbarPackedMatchesScalar)
 
         const auto scalar = xb.readAllBitlines(digits, 0);
         std::vector<Acc> packed;
-        xb.readAllBitlinesPacked(planes, digitBits, packed);
+        xb.readAllBitlinesPackedBatch(planes, digitBits, 1, packed);
         EXPECT_EQ(scalar, packed) << "digitBits " << digitBits;
     }
 }
@@ -379,16 +321,23 @@ TEST(FastPath, PlaneRebuildAfterMutation)
     planes[1] = (std::uint64_t{1} << (70 - 64)) - 1;
 
     std::vector<Acc> out;
-    xb.readAllBitlinesPacked(planes, 1, out);
+    xb.readAllBitlinesPackedBatch(planes, 1, 1, out);
     EXPECT_EQ(out[2], 0);
+    EXPECT_EQ(xb.maxPackedReading(1), 0);
 
     xb.program(69, 2, 3); // last row: exercises the word boundary
-    xb.readAllBitlinesPacked(planes, 1, out);
+    xb.readAllBitlinesPackedBatch(planes, 1, 1, out);
     EXPECT_EQ(out[2], 3);
+    EXPECT_EQ(xb.maxPackedReading(1), 3);
+    EXPECT_EQ(xb.maxPackedReading(2), 9);
 
+    // The cached column-sum bound goes stale with the planes.
     xb.forceStuck(69, 2, 1);
-    xb.readAllBitlinesPacked(planes, 1, out);
+    xb.readAllBitlinesPackedBatch(planes, 1, 1, out);
     EXPECT_EQ(out[2], 1);
+    EXPECT_EQ(xb.maxPackedReading(1), 1);
+    xb.forceStuck(0, 4, 3);
+    EXPECT_EQ(xb.maxPackedReading(1), 3);
 }
 
 TEST(FastPath, PackedRefusesNoisyArrays)
@@ -399,93 +348,16 @@ TEST(FastPath, PackedRefusesNoisyArrays)
     xb.setNoise(spec);
     std::vector<std::uint64_t> planes(1, 0xFF);
     std::vector<Acc> out;
-    EXPECT_THROW(xb.readAllBitlinesPacked(planes, 1, out),
+    EXPECT_THROW(xb.readAllBitlinesPackedBatch(planes, 1, 1, out),
                  FatalError);
     EXPECT_FALSE(xb.packedReadExact());
 }
 
-TEST(FastPath, MemoEntriesZeroDisablesMemo)
-{
-    EngineConfig cfg;
-    cfg.threads = 1;
-    cfg.memoEntries = 0;
-    Rng rng(0x0FF);
-    const auto weights = randomWords(rng, 128 * 16);
-    const auto x = randomWords(rng, 128);
-    BitSerialEngine engine(cfg, weights, 128, 16);
-    EXPECT_TRUE(engine.fastPathActive()); // packed path, no memo
-    engine.dotProduct(x);
-    engine.dotProduct(x);
-    EXPECT_EQ(engine.memoHits() + engine.memoMisses(), 0u);
-}
-
-TEST(FastPath, HashCollisionsAreMissesNotWrongReplays)
-{
-    // Two distinct digit-plane keys engineered to share their FNV-1a
-    // hash: the memo index is a multimap and replay verifies the full
-    // key, so the second key must *miss* (and insert its own entry),
-    // never replay the first key's reading. The hash is FNV-1a over
-    // the plane words (h ^= w; h *= P), so for two-word keys
-    //   hash(a0, a1) == hash(b0, b1)  iff
-    //   ((OFF ^ a0) * P) ^ a1 == ((OFF ^ b0) * P) ^ b1.
-    constexpr std::uint64_t kOff = 14695981039346656037ull;
-    constexpr std::uint64_t kPrime = 1099511628211ull;
-    const std::uint64_t a0 = 0x0123456789ABCDEFull;
-    const std::uint64_t b0 = 0xFEDCBA9876543210ull;
-    const std::uint64_t b1 = 0x5555AAAA3333CCCCull;
-    const std::uint64_t a1 =
-        ((kOff ^ a0) * kPrime) ^ ((kOff ^ b0) * kPrime) ^ b1;
-    ASSERT_NE(a0, b0);
-
-    // Realize the keys as inputs: 128 rows = exactly two plane
-    // words, and inputs in {0, 1} put the key in phase 0's plane
-    // while phases 1..15 all present the all-zero plane.
-    const auto inputsFor = [](std::uint64_t w0, std::uint64_t w1) {
-        std::vector<Word> x(128, 0);
-        for (int r = 0; r < 64; ++r) {
-            x[static_cast<std::size_t>(r)] =
-                static_cast<Word>((w0 >> r) & 1);
-            x[static_cast<std::size_t>(64 + r)] =
-                static_cast<Word>((w1 >> r) & 1);
-        }
-        return x;
-    };
-    const auto xa = inputsFor(a0, a1);
-    const auto xb = inputsFor(b0, b1);
-
-    EngineConfig cfg;
-    cfg.threads = 1;
-    Rng rng(0xC0111);
-    const auto weights = randomWords(rng, 128 * 16);
-    BitSerialEngine engine(cfg, weights, 128, 16);
-    ASSERT_EQ(engine.rowSegments() * engine.colSegments(), 1);
-    ASSERT_TRUE(engine.fastPathActive());
-
-    // Call 1: phase 0 misses (key A), phase 1 misses (all-zero),
-    // phases 2..15 hit the all-zero entry.
-    engine.dotProduct(xa);
-    EXPECT_EQ(engine.memoMisses(), 2u);
-    EXPECT_EQ(engine.memoHits(), 14u);
-
-    // Call 2: phase 0 collides with key A's hash but fails the full
-    // key compare -> a third miss, NOT a replay of A's reading.
-    const auto got = engine.dotProduct(xb);
-    EXPECT_EQ(engine.memoMisses(), 3u);
-    EXPECT_EQ(engine.memoHits(), 29u);
-
-    EngineConfig scalar = cfg;
-    scalar.fastPath = false;
-    scalar.memoEntries = 0;
-    BitSerialEngine oracle(scalar, weights, 128, 16);
-    oracle.dotProduct(xa);
-    EXPECT_EQ(got, oracle.dotProduct(xb));
-}
-
-TEST(FastPath, ResetStatsClearsTheMemoForExactReplay)
+TEST(FastPath, ResetStatsReplaysExactly)
 {
     // resetStats() promises a replayed campaign reports what a fresh
-    // engine would — which requires dropping the cached entries AND
-    // the hit/miss diagnostics, not just the EngineStats tallies.
+    // engine would: every counter rewinds, and the replay reproduces
+    // the first run's results and counters.
     EngineConfig cfg;
     cfg.threads = 1;
     Rng rng(0x2E5E7);
@@ -499,51 +371,18 @@ TEST(FastPath, ResetStatsClearsTheMemoForExactReplay)
     engine.dotProduct(x);
     const auto firstResults = engine.dotProduct(y);
     const auto firstStats = engine.stats();
-    const auto firstHits = engine.memoHits();
-    const auto firstMisses = engine.memoMisses();
     const auto firstCycles = engine.readCycles();
-    EXPECT_GT(firstHits, 0u);
-    EXPECT_GT(firstMisses, 0u);
 
     engine.resetStats();
-    EXPECT_EQ(engine.memoHits(), 0u);
-    EXPECT_EQ(engine.memoMisses(), 0u);
     EXPECT_EQ(engine.readCycles(), 0u);
     EXPECT_EQ(engine.stats(), EngineStats{});
 
-    // The replay is indistinguishable from the first run: same
-    // results, same counters, same hit/miss split (entries were
-    // dropped, so the misses really recompute).
     engine.dotProduct(x);
     engine.dotProduct(y);
     engine.dotProduct(x);
     EXPECT_EQ(engine.dotProduct(y), firstResults);
     EXPECT_TRUE(engine.stats() == firstStats);
-    EXPECT_EQ(engine.memoHits(), firstHits);
-    EXPECT_EQ(engine.memoMisses(), firstMisses);
     EXPECT_EQ(engine.readCycles(), firstCycles);
-}
-
-TEST(FastPath, LruEvictionKeepsResultsExact)
-{
-    // More distinct digit vectors than memo entries: eviction churn
-    // must never change a result.
-    EngineConfig tiny;
-    tiny.threads = 1;
-    tiny.memoEntries = 2;
-    EngineConfig scalar;
-    scalar.threads = 1;
-    scalar.fastPath = false;
-    scalar.memoEntries = 0;
-    Rng rng(0x174);
-    const auto weights = randomWords(rng, 128 * 16);
-    BitSerialEngine a(tiny, weights, 128, 16);
-    BitSerialEngine b(scalar, weights, 128, 16);
-    for (int i = 0; i < 8; ++i) {
-        const auto x = randomWords(rng, 128);
-        EXPECT_EQ(a.dotProduct(x), b.dotProduct(x)) << "op " << i;
-    }
-    EXPECT_TRUE(a.stats() == b.stats());
 }
 
 } // namespace
