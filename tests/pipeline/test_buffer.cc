@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "nn/zoo.h"
 #include "pipeline/buffer.h"
 
@@ -42,19 +44,25 @@ TEST(Buffer, Fig3Example)
     EXPECT_EQ(pipelinedBufferValues(l), 6 * 1 + 2);
 }
 
+// gtest names each case after the row's raw bytes. nx is 64-bit so the
+// row has no padding, whose indeterminate bytes would make those names
+// change from build to build.
 struct TableIIIRow
 {
-    int ni, k, nx;
+    int ni, k;
+    std::int64_t nx;
     double pipelinedKB;   // published
     double unpipelinedKB; // published
 };
+static_assert(sizeof(TableIIIRow) ==
+              2 * sizeof(int) + sizeof(std::int64_t) + 2 * sizeof(double));
 
 class TableIII : public ::testing::TestWithParam<TableIIIRow> {};
 
 TEST_P(TableIII, PublishedNumbersReproduce)
 {
     const auto row = GetParam();
-    const auto l = convLayer(row.ni, row.k, row.nx);
+    const auto l = convLayer(row.ni, row.k, static_cast<int>(row.nx));
     EXPECT_NEAR(paperTablePipelinedKB(l), row.pipelinedKB,
                 0.03 * row.pipelinedKB + 0.5);
     EXPECT_NEAR(paperTableUnpipelinedKB(l), row.unpipelinedKB,
