@@ -5,10 +5,10 @@
  * batch walk, swept over queue depth x scheduler workers.
  *
  * The session pipelines requests across execution-plan layer-steps
- * (the paper's inter-layer pipeline at request granularity) on a
- * work-stealing scheduler, so on a multi-core host the depth-16
- * pipeline must beat the one-at-a-time sequential walk by a healthy
- * margin — and keep scaling as workers are added. Emits
+ * (the paper's inter-layer pipeline at request granularity) from one
+ * shared ready queue, so on a multi-core host the depth-16 pipeline
+ * must beat the one-at-a-time sequential walk by a healthy margin —
+ * and keep scaling as workers are added. Emits
  * BENCH_serving.json with per-point throughput and p50/p99 latency
  * plus the two host-aware gate records ci.sh enforces:
  *  - "gate": best depth-16 throughput >= 1.5x sequential when the

@@ -74,8 +74,10 @@ class ThreadSlotRegistry
 
     static ThreadSlotRegistry &instance()
     {
-        static ThreadSlotRegistry reg;
-        return reg;
+        // Leaked on purpose: pool workers are joined during static
+        // destruction and release their slots here on thread exit.
+        static ThreadSlotRegistry *reg = new ThreadSlotRegistry;
+        return *reg;
     }
 
     int acquire()

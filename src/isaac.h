@@ -21,7 +21,6 @@
 #include "common/fixed_point.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/steal_deque.h"
 #include "common/types.h"
 
 #include "arch/chip.h"

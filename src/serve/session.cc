@@ -38,8 +38,6 @@ InferenceSession::InferenceSession(const core::CompiledModel &model,
         fatal("InferenceSession: queueDepth must be >= 1");
     if (_opts.workers < 0)
         fatal("InferenceSession: workers must be >= 0");
-    if (_opts.stepsPerSlice < 1)
-        fatal("InferenceSession: stepsPerSlice must be >= 1");
     if (_opts.healRetryBudget < 0)
         fatal("InferenceSession: healRetryBudget must be >= 0");
 
@@ -49,9 +47,6 @@ InferenceSession::InferenceSession(const core::CompiledModel &model,
         : _opts.workers;
     _workers = std::clamp(resolved, 1, kMaxThreads);
     ThreadPool::global().ensureWorkers(_workers);
-    _decks.reserve(static_cast<std::size_t>(_workers));
-    for (int i = 0; i < _workers; ++i)
-        _decks.push_back(std::make_unique<Deck>());
 }
 
 InferenceSession::~InferenceSession()
@@ -187,15 +182,10 @@ InferenceSession::enqueue(std::unique_ptr<Request> req, bool block,
         // pool worker frees a slot (which may never happen when the
         // pool is saturated or we are nested inside it), the blocked
         // submitter executes pending layer-steps itself.
-        if (!_ready.empty()) {
-            auto help = std::move(_ready.front());
-            _ready.pop_front();
-            lk.unlock();
-            step(std::move(help), /*deck=*/-1);
-            lk.lock();
-        } else {
+        if (!_ready.empty())
+            stepLocked(lk);
+        else
             _cvSpace.wait_for(lk, std::chrono::milliseconds(1));
-        }
     }
     // Claiming under the admission lock makes key order == admission
     // order: the injection streams replay a sequential walk exactly.
@@ -248,76 +238,64 @@ InferenceSession::expireIfPastDeadline(Request &req)
 }
 
 void
-InferenceSession::step(std::unique_ptr<Request> req, int deck)
+InferenceSession::stepLocked(std::unique_lock<std::mutex> &lk)
 {
+    auto req = std::move(_ready.front());
+    _ready.pop_front();
+    lk.unlock();
+
     const auto &nodes = _model.executionPlan().nodes();
-    std::uint64_t executed = 0;
-    std::uint64_t skipped = 0;
-    bool failed = false;
-    bool expired = expireIfPastDeadline(*req);
-    failed = expired;
-    if (!expired) {
+    const bool expired = expireIfPastDeadline(*req);
+    bool failed = expired;
+    bool executed = false;
+    if (!expired && req->nodeIdx < nodes.size()) {
         // Layer-steps run under the shared side of the repair lock:
         // the watchdog's exclusive hold (fault injection, march-test
         // remap, degradation) excludes every in-flight step, while
         // steps never block each other. Released before _mtx below
         // (lock order: _repairMtx -> _mtx, never the inverse).
         std::shared_lock<std::shared_mutex> repair(_repairMtx);
-        for (int budget = _opts.stepsPerSlice;
-             budget > 0 && req->nodeIdx < nodes.size(); --budget) {
-            // Re-check the deadline at every node, not just the
-            // slice boundary: once the request is late, burning Dot
-            // work on a result nobody will read only steals worker
-            // time from live requests.
-            if (executed > 0 && expireIfPastDeadline(*req)) {
-                expired = true;
-                failed = true;
-                break;
-            }
-            const auto &node = nodes[req->nodeIdx];
-            try {
-                _model.executeStep(node, req->cur, req->imageKey,
-                                   req->local);
-            } catch (...) {
-                if (req->keepAll)
-                    req->promiseAll.set_exception(
-                        std::current_exception());
-                else
-                    req->promiseFinal.set_exception(
-                        std::current_exception());
-                failed = true;
-                break;
-            }
+        const auto &node = nodes[req->nodeIdx];
+        try {
+            _model.executeStep(node, req->cur, req->imageKey,
+                               req->local);
+            executed = true;
+        } catch (...) {
+            if (req->keepAll)
+                req->promiseAll.set_exception(std::current_exception());
+            else
+                req->promiseFinal.set_exception(
+                    std::current_exception());
+            failed = true;
+        }
+        if (executed) {
             if (node.kind == pipeline::StepKind::Dot)
                 req->touchedLayers |= layerBit(node.layer);
             if (node.layerOutput && req->keepAll)
                 req->outs.push_back(req->cur);
             ++req->nodeIdx;
-            ++executed;
         }
     }
-    if (expired)
-        skipped = nodes.size() - req->nodeIdx;
-    const bool done = failed || req->nodeIdx >= nodes.size();
-    // Publish this slice's counters to the calling thread's epoch-log
-    // slot — the slice boundary is the epoch boundary, so stats()
-    // folds are exact whenever no step is mid-flight. This replaces
-    // the per-slice `_stats.* +=` under _mtx on every path below.
-    {
-        const std::uint64_t flat[2] = {executed, skipped};
-        _stepLog.publish(flat);
+
+    lk.lock();
+    if (executed)
+        ++_stats.stepsExecuted;
+    if (expired) {
+        ++_stats.timedOut;
+        _stats.expiredStepsSkipped += nodes.size() - req->nodeIdx;
     }
-    if (done && !failed) {
+    if (!failed && req->nodeIdx < nodes.size()) {
+        makeReady(std::move(req), lk);
+        return;
+    }
+    if (!failed) {
         // Before delivering, hold the result against the fault
         // records: a request whose Dot steps overlapped a faulty
         // epoch is never completed as-is (zero silently-wrong
-        // results). Clean requests fall through and fulfill outside
-        // the lock, exactly like the pre-self-healing path. A fault
-        // injected *after* this check cannot retroactively corrupt
-        // reads that already happened: injection holds the repair
-        // lock exclusively, so every one of this request's steps
-        // finished strictly before it.
-        std::unique_lock<std::mutex> lk(_mtx);
+        // results). A fault injected *after* this check cannot
+        // retroactively corrupt reads that already happened:
+        // injection holds the repair lock exclusively, so every one
+        // of this request's steps finished strictly before it.
         const Taint taint = taintLocked(*req);
         if (taint.tainted) {
             if (req->heals >= _opts.healRetryBudget) {
@@ -346,32 +324,15 @@ InferenceSession::step(std::unique_ptr<Request> req, int deck)
             }
             return;
         }
-    }
-    if (done && !failed) {
+        // Clean: fulfil outside the lock, then count the completion.
+        lk.unlock();
         _model.finishImage(req->local);
         if (req->keepAll)
             req->promiseAll.set_value(std::move(req->outs));
         else
             req->promiseFinal.set_value(std::move(req->cur));
+        lk.lock();
     }
-    if (!done) {
-        // The hot path: the request self-requeues onto the executing
-        // pump's own deck lock-free. Liveness is the owner's job —
-        // the pump pops its own deck before looking anywhere else and
-        // never exits while it is non-empty; idle pumps may steal the
-        // request meanwhile. Deckless callers fall back to the inbox.
-        if (deck >= 0) {
-            _decks[static_cast<std::size_t>(deck)]->dq.push(
-                req.release());
-            return;
-        }
-        std::unique_lock<std::mutex> lk(_mtx);
-        makeReady(std::move(req), lk);
-        return;
-    }
-    std::unique_lock<std::mutex> lk(_mtx);
-    if (expired)
-        ++_stats.timedOut;
     completeLocked();
 }
 
@@ -471,127 +432,18 @@ InferenceSession::noteFaultRepaired(std::size_t token)
     }
 }
 
-int
-InferenceSession::claimDeck()
-{
-    for (std::size_t i = 0; i < _decks.size(); ++i) {
-        if (!_decks[i]->busy.exchange(true, std::memory_order_acq_rel))
-            return static_cast<int>(i);
-    }
-    // _activePumps <= _workers == deck count, so a pump normally
-    // always finds a free deck; the only exception is racing a
-    // predecessor that exited but has not released yet. Degrade to
-    // deckless helper mode rather than spin.
-    return -1;
-}
-
-void
-InferenceSession::releaseDeck(int deck)
-{
-    _decks[static_cast<std::size_t>(deck)]->busy.store(
-        false, std::memory_order_release);
-}
-
-bool
-InferenceSession::stealFrom(int self, Request *&out)
-{
-    const int n = static_cast<int>(_decks.size());
-    const int start = self >= 0 ? self + 1 : 0;
-    for (int k = 0; k < n; ++k) {
-        const int i = (start + k) % n;
-        if (i == self)
-            continue;
-        if (_decks[static_cast<std::size_t>(i)]->dq.steal(out))
-            return true;
-    }
-    return false;
-}
-
 void
 InferenceSession::pump()
 {
-    // How many extra inbox requests one lock acquisition moves into
-    // the pump's own deck. Batching is where the scalability comes
-    // from: the per-slice path is lock-free, so _mtx is touched once
-    // per batch plus once per completion instead of twice per slice.
-    constexpr std::size_t kInboxBatch = 8;
-
-    const int deck = claimDeck();
-    for (;;) {
-        // 1. Own deck first (LIFO: keep driving the request this
-        //    pump just advanced — and drain it fully before exiting,
-        //    which is what keeps deck work owned by a live pump).
-        Request *raw = nullptr;
-        if (deck >= 0 &&
-            _decks[static_cast<std::size_t>(deck)]->dq.pop(raw)) {
-            step(std::unique_ptr<Request>(raw), deck);
-            continue;
-        }
-        // 2. Inbox: take one to run and batch a few more into the
-        //    own deck under a single _mtx acquisition.
-        std::unique_ptr<Request> req;
-        {
-            std::unique_lock<std::mutex> lk(_mtx);
-            if (!_ready.empty()) {
-                req = std::move(_ready.front());
-                _ready.pop_front();
-                if (deck >= 0) {
-                    auto &dq =
-                        _decks[static_cast<std::size_t>(deck)]->dq;
-                    for (std::size_t i = 0;
-                         i + 1 < kInboxBatch && !_ready.empty(); ++i) {
-                        dq.push(_ready.front().release());
-                        _ready.pop_front();
-                    }
-                }
-            }
-        }
-        if (req) {
-            step(std::move(req), deck);
-            continue;
-        }
-        // 3. Steal the oldest work of a busier pump.
-        if (deck >= 0 && stealFrom(deck, raw)) {
-            step(std::unique_ptr<Request>(raw), deck);
-            continue;
-        }
-        // 4. Own deck and inbox empty, steal sweep came back dry. If
-        //    another pump visibly still holds queued work, stay alive
-        //    (yield, then steal again) instead of retiring — a retire
-        //    here would shrink parallelism until the next admission,
-        //    since only makeReady spawns pumps. The owner of that
-        //    work is live by invariant, so this loop terminates.
-        if (deck >= 0) {
-            bool othersBusy = false;
-            for (std::size_t i = 0; i < _decks.size(); ++i) {
-                if (static_cast<int>(i) != deck &&
-                    !_decks[i]->dq.emptyApprox()) {
-                    othersBusy = true;
-                    break;
-                }
-            }
-            if (othersBusy) {
-                std::this_thread::yield();
-                continue;
-            }
-        }
-        // 5. Nothing visible anywhere. Confirm the inbox is still
-        //    empty under the lock and retire — the decrement shares
-        //    the critical section with makeReady's spawn check, so
-        //    an admission either sees this pump still active or
-        //    spawns a replacement; no work is ever stranded.
-        {
-            std::unique_lock<std::mutex> lk(_mtx);
-            if (!_ready.empty())
-                continue;
-            if (deck >= 0)
-                releaseDeck(deck);
-            --_activePumps;
-            if (_activePumps == 0)
-                _cvSpace.notify_all();
-            return;
-        }
-    }
+    std::unique_lock<std::mutex> lk(_mtx);
+    while (!_ready.empty())
+        stepLocked(lk);
+    // Retire. The empty check above and this decrement share one
+    // critical section with makeReady's spawn check, so a push either
+    // finds this pump still active (and it loops) or spawns a
+    // replacement: no ready request is ever stranded.
+    if (--_activePumps == 0)
+        _cvSpace.notify_all();
 }
 
 void
@@ -606,11 +458,7 @@ InferenceSession::drainLocked(std::unique_lock<std::mutex> &lk)
 {
     while (_inFlight > 0) {
         if (!_ready.empty()) {
-            auto req = std::move(_ready.front());
-            _ready.pop_front();
-            lk.unlock();
-            step(std::move(req), /*deck=*/-1);
-            lk.lock();
+            stepLocked(lk);
         } else if (_closed && !_parked.empty()) {
             // Shutdown with requests parked on a pending repair: no
             // further watchdog poll is guaranteed, and a parked
@@ -623,21 +471,11 @@ InferenceSession::drainLocked(std::unique_lock<std::mutex> &lk)
                 "InferenceSession: session shut down while the "
                 "request awaited an online repair");
         } else {
-            // The inbox is empty but requests may sit in pump decks.
-            // Lend this thread to stealing (the documented drain()
-            // contract: the caller executes layer-steps itself);
-            // otherwise wake on requeue or completion (timed:
-            // belt-and-braces against a notification racing the
-            // unlock).
-            lk.unlock();
-            Request *raw = nullptr;
-            if (stealFrom(/*self=*/-1, raw)) {
-                step(std::unique_ptr<Request>(raw), /*deck=*/-1);
-                lk.lock();
-            } else {
-                lk.lock();
-                _cvWork.wait_for(lk, std::chrono::milliseconds(1));
-            }
+            // Every unfinished request is mid-step on another thread
+            // (or parked): wake on requeue or completion. Timed,
+            // because a concurrent shutdown() seals without signalling
+            // _cvWork and parked requests then need failing here.
+            _cvWork.wait_for(lk, std::chrono::milliseconds(1));
         }
     }
 }
@@ -677,19 +515,8 @@ InferenceSession::inFlight() const
 SessionStats
 InferenceSession::stats() const
 {
-    SessionStats s;
-    {
-        std::lock_guard<std::mutex> lk(_mtx);
-        s = _stats;
-    }
-    // Fold the lock-free step-side counters on top of the admission-
-    // side fields. Workers publish at every slice boundary, so at any
-    // quiescent point (after drain()/shutdown()) the fold is exact.
-    std::uint64_t flat[2] = {0, 0};
-    _stepLog.fold(flat);
-    s.stepsExecuted += flat[0];
-    s.expiredStepsSkipped += flat[1];
-    return s;
+    std::lock_guard<std::mutex> lk(_mtx);
+    return _stats;
 }
 
 } // namespace isaac::serve

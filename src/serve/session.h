@@ -8,9 +8,9 @@
  * on the shared ThreadPool, reproducing the paper's steady-state
  * inter-layer pipeline at request granularity: image k+1 enters
  * layer 0 while image k is in layer 1 (Sec. IV). Each request walks
- * the IR one step at a time and requeues itself, so in-flight
- * requests interleave across layer-steps instead of hogging a worker
- * end to end.
+ * the IR one step at a time and requeues itself at the back of one
+ * mutex-guarded ready queue, so in-flight requests interleave across
+ * layer-steps instead of hogging a worker end to end.
  *
  * Determinism contract (docs/serving.md): every request's image key
  * is claimed from the model at *submission* time, and all per-image
@@ -58,8 +58,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/epoch_log.h"
-#include "common/steal_deque.h"
 #include "core/accelerator.h"
 #include "nn/tensor.h"
 #include "resilience/health.h"
@@ -135,13 +133,6 @@ struct SessionOptions
      * kMaxThreads). Results are identical at any setting.
      */
     int workers = 0;
-
-    /**
-     * Steps a worker executes per request before requeueing it.
-     * 1 gives the finest inter-request pipelining; larger values
-     * trade interleaving for lower queue churn.
-     */
-    int stepsPerSlice = 1;
 
     /**
      * Per-request execution deadline, measured from admission
@@ -332,40 +323,17 @@ class InferenceSession
     /** Fail an expired request's promise; true if it timed out. */
     bool expireIfPastDeadline(Request &req);
 
-    /**
-     * One scheduler worker's Chase–Lev deque plus its claim flag.
-     * Cache-line-aligned so two workers' deque ends never share a
-     * line (the deque also self-pads its top/bottom words).
-     */
-    struct alignas(kCacheLineBytes) Deck
-    {
-        StealDeque<Request *> dq;
-        std::atomic<bool> busy{false};
-    };
-
-    /** Claim a free deck slot for a pump; -1 if none is free. */
-    int claimDeck();
-    void releaseDeck(int deck);
-
-    /**
-     * One sweep over the other workers' decks, stealing the oldest
-     * element (FIFO). `self` = the caller's own deck (skipped), or
-     * -1 for deckless helpers (drain). False on an empty/lost sweep.
-     */
-    bool stealFrom(int self, Request *&out);
-
     /** Push a runnable request and make sure a worker will run it. */
     void makeReady(std::unique_ptr<Request> req,
                    std::unique_lock<std::mutex> &lk);
 
     /**
-     * Execute one slice of `req`; requeues or completes it. `deck` is
-     * the calling pump's deck index: a request that is not done
-     * requeues to that deck lock-free (the hot path). Deckless
-     * callers (blocked submitters, drain) pass -1 and requeue through
-     * the inbox under _mtx.
+     * Pop the oldest ready request and execute its next IR node,
+     * then requeue or complete it. `lk` holds _mtx on entry and on
+     * return; it is released while the node executes. _ready must be
+     * non-empty.
      */
-    void step(std::unique_ptr<Request> req, int deck);
+    void stepLocked(std::unique_lock<std::mutex> &lk);
 
     /**
      * drain() body with the session lock already held — shutdown()
@@ -420,44 +388,23 @@ class InferenceSession
     std::condition_variable _cvSpace; ///< Signaled on completion.
     std::condition_variable _cvWork;  ///< Signaled on makeReady.
     /**
-     * The inbox: external pushes (admission, heal requeues, parked
-     * releases) land here under _mtx. Pumps drain it in batches into
-     * their own decks; the per-slice self-requeue never touches it.
+     * The ready queue (FIFO): admission, the requeue after every
+     * step, heal requeues and parked releases push to the back under
+     * _mtx; pumps, blocked submitters and drain() pop the front.
      */
     std::deque<std::unique_ptr<Request>> _ready;
-    /**
-     * Per-worker work-stealing decks. A pump claims one for its
-     * lifetime; its requests self-requeue onto it lock-free (owner
-     * LIFO — the pump keeps driving the request it just advanced),
-     * and idle pumps steal the oldest work of busier ones (thief
-     * FIFO — preserving rough admission order under imbalance). A
-     * deck's elements are only ever pushed by its owner, and a pump
-     * exits only with its own deck verified empty, so deck work
-     * always has a live owner: stealing is an accelerator, never a
-     * liveness requirement. Sized once in the constructor, never
-     * resized (pumps index it without the lock).
-     */
-    std::vector<std::unique_ptr<Deck>> _decks;
     std::size_t _inFlight = 0;
     int _activePumps = 0;
     bool _closed = false;
     SessionStats _stats;
-    /**
-     * Per-worker epoch log for the step-side counters
-     * [stepsExecuted, expiredStepsSkipped]: published once per slice
-     * by the executing thread, folded into stats() on read. These
-     * are the only SessionStats fields written on the lock-free
-     * requeue path; everything else mutates under _mtx as before.
-     */
-    mutable EpochLog _stepLog{2};
 
     /**
      * The repair lock: layer-steps execute under the shared side, so
      * the watchdog's exclusive hold (fault injection, march-test
      * remap, degradation) excludes every in-flight step while steps
      * never block each other. Lock order: _repairMtx before _mtx,
-     * never the inverse (step() releases it before taking _mtx; the
-     * watchdog nests _mtx inside its exclusive hold).
+     * never the inverse (stepLocked() releases it before retaking
+     * _mtx; the watchdog nests _mtx inside its exclusive hold).
      */
     std::shared_mutex _repairMtx;
 
@@ -478,11 +425,6 @@ class InferenceSession
      * deadlock a blocked submitter against the poller.
      */
     std::vector<std::unique_ptr<Request>> _parked;
-
-  public:
-    // Layout probe for the false-sharing audit
-    // (tests/common/test_layout.cc); Deck itself is private.
-    static constexpr std::size_t kDeckAlign = alignof(Deck);
 };
 
 } // namespace isaac::serve

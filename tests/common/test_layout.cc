@@ -13,20 +13,15 @@
  *  - EpochLog::Slot: one publishing worker per slot; a slot sharing a
  *    line with its neighbour would re-create the very contention the
  *    log exists to remove.
- *  - StealDeque: thieves hammer _top with CAS while the owner runs on
- *    _bottom; each lives on its own line.
  *  - BitSerialEngine's ArrayTile / Partial: adjacent vector
  *    elements handed to different workers.
- *  - InferenceSession's Deck: per-worker deque + claim flag.
  *  - Adc sample/clip counters: every op retire RMWs them.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/epoch_log.h"
-#include "common/steal_deque.h"
 #include "common/types.h"
-#include "serve/session.h"
 #include "xbar/engine.h"
 
 namespace isaac {
@@ -41,20 +36,10 @@ static_assert((kCacheLineBytes & (kCacheLineBytes - 1)) == 0);
 static_assert(alignof(EpochLog::Slot) == kCacheLineBytes);
 static_assert(sizeof(EpochLog::Slot) == kCacheLineBytes);
 
-// Work-stealing deque: the alignas on _top/_bottom/_buf raises the
-// whole object's alignment; the size floor proves the three words
-// were actually spread onto distinct lines (3 lines + trailing
-// members), not collapsed by a refactor.
-static_assert(alignof(StealDeque<void *>) == kCacheLineBytes);
-static_assert(sizeof(StealDeque<void *>) >= 3 * kCacheLineBytes);
-
 // Engine hot structures (private; geometry exported via probes).
 static_assert(xbar::BitSerialEngine::kArrayTileAlign ==
               kCacheLineBytes);
 static_assert(xbar::BitSerialEngine::kPartialAlign == kCacheLineBytes);
-
-// Session scheduler: one deck per pump.
-static_assert(serve::InferenceSession::kDeckAlign == kCacheLineBytes);
 
 TEST(Layout, FalseSharingAuditHolds)
 {
