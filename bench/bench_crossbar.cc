@@ -8,12 +8,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "xbar/batch_kernel.h"
 #include "xbar/encoding.h"
 #include "xbar/engine.h"
@@ -101,7 +99,6 @@ BM_EngineDotProductBatched(benchmark::State &state)
     const int m = static_cast<int>(state.range(1));
     const int windows = 64;
     xbar::EngineConfig cfg;
-    cfg.threads = 1;
     const auto weights = randomWords(7, n * m);
     xbar::BitSerialEngine engine(cfg, weights, n, m);
     const auto inputs = randomWords(9, n * windows);
@@ -114,27 +111,6 @@ BM_EngineDotProductBatched(benchmark::State &state)
 BENCHMARK(BM_EngineDotProductBatched)
     ->Args({128, 16})
     ->Args({1024, 64});
-
-void
-BM_EngineDotProductThreaded(benchmark::State &state)
-{
-    const int threads = static_cast<int>(state.range(0));
-    xbar::EngineConfig cfg;
-    cfg.threads = threads;
-    const int n = 1024, m = 64;
-    const auto weights = randomWords(7, n * m);
-    xbar::BitSerialEngine engine(cfg, weights, n, m);
-    const auto inputs = randomWords(9, n);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(engine.dotProduct(inputs));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n) * m);
-}
-BENCHMARK(BM_EngineDotProductThreaded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
 
 void
 BM_EngineDotProductBiasedDac2(benchmark::State &state)
@@ -232,23 +208,15 @@ timeDotProduct(const xbar::BitSerialEngine &engine,
 
 /**
  * Machine-readable perf record, written next to the binary for the
- * CI regression gate (scripts/ci.sh) and dashboards:
- *
- *  - "results": the 1024x64 dot product at several thread counts,
- *    scalar and packed-fast-path columns side by side;
- *  - "clean_128": the gated single-array numbers — scalar vs the
- *    packed path at n = 1 (dotProduct) vs a 64-window batch on a
- *    clean 128x128 ISAAC-CE array at threads = 1. scripts/ci.sh
- *    gates fast_speedup (n = 1 over scalar), batched_vs_scalar, and
- *    batched_speedup (64-window batch over n = 1, per window).
+ * CI regression gate (scripts/ci.sh) and dashboards: "clean_128"
+ * holds scalar vs the packed path at n = 1 (dotProduct) vs a
+ * 64-window batch on a clean 128x128 ISAAC-CE array. scripts/ci.sh
+ * gates fast_speedup (n = 1 over scalar), batched_vs_scalar, and
+ * batched_speedup (64-window batch over n = 1, per window).
  */
 void
-writeScalingJson()
+writeCleanJson()
 {
-    const int n = 1024, m = 64;
-    const auto weights = randomWords(7, n * m);
-    const auto inputs = randomWords(9, n);
-
     std::FILE *f = std::fopen("BENCH_crossbar.json", "w");
     if (!f) {
         std::fprintf(stderr,
@@ -256,49 +224,12 @@ writeScalingJson()
                      "BENCH_crossbar.json\n");
         return;
     }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"crossbar\",\n"
-                 "  \"workload\": \"dotProduct\",\n"
-                 "  \"inputs\": %d,\n  \"outputs\": %d,\n"
-                 "  \"hardware_threads\": %u,\n  \"results\": [",
-                 n, m, std::thread::hardware_concurrency());
 
-    double serialFastNs = 0.0;
-    bool first = true;
-    for (int threads : {1, 2, 4, 8}) {
-        xbar::EngineConfig scalarCfg;
-        scalarCfg.threads = threads;
-        scalarCfg.fastPath = false;
-        xbar::BitSerialEngine scalar(scalarCfg, weights, n, m);
-        // Warm up (spawns pool workers, faults pages), then time.
-        scalar.dotProduct(inputs);
-        const double scalarNs = timeDotProduct(scalar, inputs, 10);
-
-        xbar::EngineConfig fastCfg;
-        fastCfg.threads = threads;
-        xbar::BitSerialEngine fast(fastCfg, weights, n, m);
-        fast.dotProduct(inputs);
-        const double fastNs = timeDotProduct(fast, inputs, 50);
-        if (threads == 1)
-            serialFastNs = fastNs;
-
-        std::fprintf(
-            f,
-            "%s\n    {\"threads\": %d, \"scalar_ns_per_op\": %.0f, "
-            "\"fast_ns_per_op\": %.0f, \"fast_speedup\": %.3f, "
-            "\"thread_speedup\": %.3f}",
-            first ? "" : ",", threads, scalarNs, fastNs,
-            fastNs > 0 ? scalarNs / fastNs : 0.0,
-            fastNs > 0 ? serialFastNs / fastNs : 0.0);
-        first = false;
-    }
-
-    // The gated record: one clean ISAAC-CE array, serial.
+    // The gated record: one clean ISAAC-CE array.
     const int gn = 128, gm = 16;
     const auto gw = randomWords(7, gn * gm);
     const auto gx = randomWords(9, gn);
     xbar::EngineConfig base;
-    base.threads = 1;
 
     auto scalarCfg = base;
     scalarCfg.fastPath = false;
@@ -320,7 +251,8 @@ writeScalingJson()
         timeDotProductBatch(gBatch, gbx, gWindows, 20);
 
     std::fprintf(f,
-                 "\n  ],\n  \"clean_128\": {\n"
+                 "{\n  \"bench\": \"crossbar\",\n"
+                 "  \"clean_128\": {\n"
                  "    \"scalar_ns\": %.0f,\n"
                  "    \"fast_ns\": %.0f,\n"
                  "    \"batched_ns\": %.0f,\n"
@@ -343,7 +275,7 @@ writeScalingJson()
 int
 main(int argc, char **argv)
 {
-    writeScalingJson();
+    writeCleanJson();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

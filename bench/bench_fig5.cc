@@ -39,7 +39,6 @@ timeConvLayer(bool fastPath)
     const auto input = nn::synthesizeInput(64, 14, 14, 3, opts.format);
 
     arch::IsaacConfig cfg;
-    cfg.engine.threads = 1;
     cfg.engine.fastPath = fastPath;
     const core::Accelerator acc(cfg);
     const auto model = acc.compile(net, weights, opts);

@@ -46,7 +46,6 @@ arch::IsaacConfig
 selfhealConfig()
 {
     arch::IsaacConfig cfg;
-    cfg.engine.threads = 1;
     cfg.engine.abftChecksum = true;
     cfg.engine.spareCols = 4;
     cfg.transient.edramFlipRate = 2e-3;

@@ -202,11 +202,9 @@ printServingStudy()
     const auto net = nn::tinyCnn();
     const auto weights = nn::WeightStore::synthesize(net, 4242);
 
-    // Intra-layer threading off: the study isolates the *request*
-    // pipeline, and the sequential baseline is the true
-    // one-image-at-a-time walk.
+    // The study isolates the *request* pipeline; the sequential
+    // baseline is the one-image-at-a-time walk.
     arch::IsaacConfig cfg;
-    cfg.engine.threads = 1;
     core::Accelerator acc(cfg);
     const auto model = acc.compile(net, weights, {});
     const auto inputs = bench::makeServeInputs(
@@ -216,9 +214,13 @@ printServingStudy()
     // baseline and every sweep point run against the same state.
     (void)model.inferBatch(inputs);
 
-    // Sequential baseline: inferBatch on the single-worker session.
+    // Sequential baseline: the batch on a single-worker session.
     const auto seqStart = Clock::now();
-    const auto seqOut = model.inferBatch(inputs);
+    const auto seqOut =
+        serve::InferenceSession(
+            model, serve::SessionOptions{.queueDepth = inputs.size(),
+                                         .workers = 1})
+            .run(inputs);
     const double seqElapsed = seconds(Clock::now() - seqStart);
     const double seqThroughput =
         static_cast<double>(inputs.size()) / seqElapsed;
@@ -226,7 +228,7 @@ printServingStudy()
     std::printf("=== Streaming serving: session pipeline vs "
                 "sequential batch (TinyCNN, %d images) ===\n\n",
                 kImages);
-    std::printf("sequential inferBatch: %8.1f img/s\n\n",
+    std::printf("sequential (1 worker): %8.1f img/s\n\n",
                 seqThroughput);
     std::printf("%-7s %-8s %12s %10s %10s %9s\n", "depth", "workers",
                 "img/s", "p50 ms", "p99 ms", "speedup");
@@ -283,7 +285,6 @@ BM_SessionDepth16(benchmark::State &state)
     const auto net = nn::tinyCnn();
     const auto weights = nn::WeightStore::synthesize(net, 4242);
     arch::IsaacConfig cfg;
-    cfg.engine.threads = 1;
     core::Accelerator acc(cfg);
     const auto model = acc.compile(net, weights, {});
     const auto inputs = bench::makeServeInputs(

@@ -19,7 +19,7 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 echo "== static layout audit: false-sharing padding =="
 # tests/common/test_layout.cc is a wall of static_asserts on the
 # cache-line geometry of the hot shared structures (EpochLog slots,
-# engine tiles/scratch): it can only pass by compiling, so the build
+# engine tiles): it can only pass by compiling, so the build
 # above already enforced it.
 # Run the registered test anyway so the audit shows up green in CI
 # output rather than passing silently.
@@ -52,9 +52,8 @@ fi
 rm -rf "$odr_dir"
 
 echo "== perf-regression gate: packed path vs scalar =="
-# bench_crossbar writes BENCH_crossbar.json (scalar and fast-path
-# columns per thread count plus the gated clean-128 record) before
-# running any google-benchmark cases; a filter matching nothing keeps
+# bench_crossbar writes BENCH_crossbar.json (the gated clean-128
+# record) before running any google-benchmark cases; a filter matching nothing keeps
 # this step fast. On a clean 128x128 array the packed path must beat
 # the scalar row loop at n = 1 (dotProduct) and at n = 64
 # (dotProductBatch, per window), and the 64-window batch must not be
@@ -110,7 +109,7 @@ print("serving: depth-%d pipelined %.1f img/s vs sequential %.1f "
 if gate["speedup"] < gate["expected_speedup"]:
     raise SystemExit(
         "perf gate FAILED: depth-%d session pipeline is %.2fx over "
-        "sequential inferBatch (gate: %.2fx)" %
+        "the sequential walk (gate: %.2fx)" %
         (gate["queue_depth"], gate["speedup"],
          gate["expected_speedup"]))
 # Host-aware worker-scaling gate: the session's ready queue must
@@ -140,7 +139,7 @@ print("scaling: depth-%d workers-%d %.1f img/s (%.2fx sequential, "
 if scaling["speedup_vs_sequential"] < scaling["expected_speedup"]:
     raise SystemExit(
         "perf gate FAILED: %d-worker depth-%d session is %.2fx over "
-        "sequential inferBatch (scaling gate: %.2fx on %d host "
+        "the sequential walk (scaling gate: %.2fx on %d host "
         "threads)" %
         (scaling["workers"], scaling["queue_depth"],
          scaling["speedup_vs_sequential"],
@@ -291,13 +290,6 @@ echo "== TSan: self-healing watchdog suite (repair lock discipline) =="
 # workers; TSan proves the _repairMtx -> _mtx lock discipline.
 ./build-tsan/tests/test_selfheal
 
-echo "== TSan: fast-path equivalence suite =="
-# The packed-path golden sweeps run engines at 1/2/4/8 threads and
-# fan window blocks across workers; TSan proves the lazy plane (and
-# clip-bound) rebuild and the batch partitioning hold the threading
-# contract.
-./build-tsan/tests/test_xbar --gtest_filter='FastPath.*:Batched.*'
-
 echo "== AddressSanitizer build =="
 cmake -B build-asan -S . -DISAAC_SANITIZE=address >/dev/null
 cmake --build build-asan -j \
@@ -341,12 +333,7 @@ echo "== ASan: DSE sweep + energy-pricing suites (policy surface) =="
 ./build-asan/tests/test_dse
 ./build-asan/tests/test_energy
 
-echo "== ASan: transient-error campaigns (ABFT / ECC / NoC retry) =="
-./build-asan/tests/test_xbar \
-    --gtest_filter='Abft.*:Drift.*:Concurrency.Transient*'
-
-echo "== ASan: fast-path equivalence suite (plane/scratch buffers) =="
-./build-asan/tests/test_xbar --gtest_filter='FastPath.*:Batched.*'
+echo "== ASan: transient-error campaigns (ECC / NoC retry) =="
 ./build-asan/tests/test_noc --gtest_filter='Crc.*:Packet.*:Ecc.*'
 # Accelerator.* starts pool workers from InferenceSession (through
 # inferBatch) that exit during static destruction; a clean exit here

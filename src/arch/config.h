@@ -95,13 +95,6 @@ struct IsaacConfig
     /** Peak 16-bit operations per second per chip (2 ops per MAC). */
     double peakGops() const;
 
-    /**
-     * Simulation worker threads (the engine's knob, surfaced at the
-     * design-point level): 0 = one per hardware thread, 1 = serial.
-     * Purely a host-side execution setting; never affects results.
-     */
-    int threads() const { return engine.threads; }
-
     /** Validate; fatal() on inconsistent parameters. */
     void validate() const;
 

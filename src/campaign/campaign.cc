@@ -228,10 +228,9 @@ Scenario::noiseSeed() const
 }
 
 arch::IsaacConfig
-Scenario::config(int threads) const
+Scenario::config() const
 {
     arch::IsaacConfig cfg;
-    cfg.engine.threads = threads;
     cfg.engine.spareCols = spareCols;
     if (policy == xbar::AdcPolicyKind::Adaptive) {
         // adcBits is the adaptive cap; 0 caps at the derived

@@ -107,11 +107,10 @@ struct Scenario
 
     /**
      * Lower the scenario onto an ISAAC-CE design point. Campaign
-     * scenarios run their engines serially (parallelism is
-     * scenario-major) and never refresh (refreshIntervalOps = 0), so
-     * the drift age applied via CompiledModel::ageArrays persists.
+     * scenarios never refresh (refreshIntervalOps = 0), so the drift
+     * age applied via CompiledModel::ageArrays persists.
      */
-    arch::IsaacConfig config(int threads = 1) const;
+    arch::IsaacConfig config() const;
 
     /**
      * True for the zero-noise / zero-fault / full-ADC point, whose

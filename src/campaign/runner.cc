@@ -133,10 +133,10 @@ Runner::evaluate(const Scenario &s) const
     res.scenario = s;
     res.batch = static_cast<int>(_inputs.size());
 
-    // Engines serial: campaign parallelism is scenario-major, and a
-    // serial per-scenario walk keeps every counter and noise draw
-    // independent of the campaign thread count.
-    core::Accelerator acc(s.config(/*threads=*/1));
+    // Campaign parallelism is scenario-major: one session worker per
+    // scenario keeps every counter and noise draw independent of the
+    // campaign thread count.
+    core::Accelerator acc(s.config());
     auto model = acc.compile(_net, _weights, {});
     model.resetForScenario();
     if (s.driftPerOp > 0.0 && s.driftAge > 0)

@@ -2,9 +2,12 @@
  * @file
  * A small fixed-worker thread pool and a deterministic parallel-for.
  *
- * The functional simulator's hot loops (bit-serial dot products,
- * window evaluation, DSE sweeps) are embarrassingly parallel but must
- * stay *bit-identical* to the serial run. The helpers here make that
+ * The simulator has one level of parallelism, owned by the caller
+ * (docs/threading.md): serving sessions pipeline requests over the
+ * pool, and the campaign, DSE and reference-executor loops fan their
+ * independent items out with parallelFor. A single engine call or
+ * layer-step runs on its caller's thread. Every parallel loop must
+ * stay *bit-identical* to the serial run; the helpers here make that
  * contract easy to keep:
  *
  *  - `parallelFor(items, threads, fn)` partitions [0, items) over at
@@ -16,9 +19,9 @@
  *    cursor (no work stealing); which worker runs which chunk is
  *    nondeterministic, so callers must only rely on per-index or
  *    per-slot state, never on execution order.
- *  - Nested calls run inline on the worker that issued them: a
- *    parallel caller (e.g. a window loop) composes with a parallel
- *    callee (the engine) without oversubscription or deadlock.
+ *  - Nested calls run inline on the worker that issued them, so a
+ *    parallelFor inside a pool job never oversubscribes or
+ *    deadlocks.
  *
  * Exceptions thrown by `fn` are captured and the first one rethrown
  * on the calling thread after all workers finish.

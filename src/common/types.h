@@ -32,9 +32,8 @@ using Word = std::int16_t;
 
 /**
  * Destructive-interference granularity assumed by the false-sharing
- * audit. Hot shared structures (epoch-log slots, per-worker engine
- * tiles and scratch) are padded to this boundary so two threads never
- * bounce one line. 64 bytes covers x86-64 and most aarch64
+ * audit. Hot shared structures (epoch-log slots, engine tiles) are
+ * padded to this boundary so two threads never bounce one line. 64 bytes covers x86-64 and most aarch64
  * parts; `std::hardware_destructive_interference_size` is deliberately
  * not used because it is an ABI hazard (its value may differ between
  * translation units compiled with different tuning flags).

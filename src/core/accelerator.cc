@@ -2,7 +2,6 @@
 
 #include "arch/edram.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "noc/packet.h"
 #include "serve/session.h"
 
@@ -52,7 +51,7 @@ CompiledModel::CompiledModel(const nn::Network &net,
         fatal("compile: weight store does not match the network");
 
     poolExec = std::make_unique<nn::ReferenceExecutor>(
-        net, weights, opts.format, cfg.threads());
+        net, weights, opts.format, /*threads=*/1);
     engines.resize(net.size());
     for (std::size_t i = 0; i < net.size(); ++i) {
         const auto &l = net.layer(i);
@@ -116,38 +115,33 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
         const int len = shared->numInputs();
         std::vector<Word> staged(
             static_cast<std::size_t>(windows) * len);
-        parallelFor(
-            windows, cfg.threads(), [&](std::int64_t window, int) {
-                const int ox = static_cast<int>(window / l.outNy());
-                const int oy = static_cast<int>(window % l.outNy());
-                const auto inputs = nn::gatherWindow(input, l, ox, oy);
-                std::copy(inputs.begin(), inputs.end(),
-                          staged.begin() +
-                              static_cast<std::size_t>(window) * len);
-            });
+        for (std::int64_t window = 0; window < windows; ++window) {
+            const int ox = static_cast<int>(window / l.outNy());
+            const int oy = static_cast<int>(window % l.outNy());
+            const auto inputs = nn::gatherWindow(input, l, ox, oy);
+            std::copy(inputs.begin(), inputs.end(),
+                      staged.begin() +
+                          static_cast<std::size_t>(window) * len);
+        }
         const auto sums = shared->dotProductBatch(
             staged, static_cast<int>(windows));
-        parallelFor(
-            windows, cfg.threads(), [&](std::int64_t window, int) {
-                const int ox = static_cast<int>(window / l.outNy());
-                const int oy = static_cast<int>(window % l.outNy());
-                const Acc *row = sums.data() +
-                    static_cast<std::size_t>(window) * l.no;
-                for (int k = 0; k < l.no; ++k) {
-                    const Word q = requantizeAcc(
-                        row[static_cast<std::size_t>(k)],
-                        opts.format);
-                    out.at(k, ox, oy) =
-                        nn::applyActivation(l.activation, q, lut);
-                }
-            });
+        for (std::int64_t window = 0; window < windows; ++window) {
+            const int ox = static_cast<int>(window / l.outNy());
+            const int oy = static_cast<int>(window % l.outNy());
+            const Acc *row =
+                sums.data() + static_cast<std::size_t>(window) * l.no;
+            for (int k = 0; k < l.no; ++k) {
+                const Word q = requantizeAcc(
+                    row[static_cast<std::size_t>(k)], opts.format);
+                out.at(k, ox, oy) =
+                    nn::applyActivation(l.activation, q, lut);
+            }
+        }
         return out;
     }
     // Private kernels (one engine per window) and scalar-path
-    // engines: dotProduct() is concurrency-safe, so windows of a
-    // layer can be issued in parallel even against a shared engine
-    // (exactly as replicated IMAs pipeline windows in hardware).
-    parallelFor(windows, cfg.threads(), [&](std::int64_t window, int) {
+    // engines: one dotProduct() per window, in window order.
+    for (std::int64_t window = 0; window < windows; ++window) {
         const int ox = static_cast<int>(window / l.outNy());
         const int oy = static_cast<int>(window % l.outNy());
         const auto inputs = nn::gatherWindow(input, l, ox, oy);
@@ -161,7 +155,7 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
             out.at(k, ox, oy) =
                 nn::applyActivation(l.activation, q, lut);
         }
-    });
+    }
     return out;
 }
 
@@ -285,7 +279,6 @@ CompiledModel::inferBatch(const std::vector<nn::Tensor> &inputs) const
     requireFunctional("inferBatch");
     serve::SessionOptions sopts;
     sopts.queueDepth = std::max<std::size_t>(inputs.size(), 1);
-    sopts.workers = cfg.threads();
     serve::InferenceSession session(*this, sopts);
     return session.run(inputs);
 }

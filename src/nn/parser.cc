@@ -129,6 +129,10 @@ parseNetwork(const std::string &text)
                     pad = t[a] == "same"
                         ? -1
                         : parseInt(line, t[a], "padding");
+                    // -1 is the builder's internal 'same' marker;
+                    // written out, a negative pad is malformed.
+                    if (pad < 0 && t[a] != "same")
+                        parseError(line, "bad padding '" + t[a] + "'");
                 } else if (t[a] == "private") {
                     isPrivate = true;
                 } else if (auto found = activationByName(t[a])) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "pipeline/replication.h"
 
 namespace isaac::pipeline {
@@ -187,8 +186,7 @@ ExecutionPlan::topologicallyOrdered() const
 
 std::vector<Cycle>
 ExecutionPlan::windowReadyTimes(const StepNode &node,
-                                std::span<const Cycle> prevDone,
-                                int threads) const
+                                std::span<const Cycle> prevDone) const
 {
     const auto &l = _net->layer(node.layer);
     const int outNy = l.outNy();
@@ -211,7 +209,7 @@ ExecutionPlan::windowReadyTimes(const StepNode &node,
     const bool fullInput = l.kind == nn::LayerKind::Classifier ||
         l.kind == nn::LayerKind::Spp;
 
-    parallelFor(windows, threads, [&](std::int64_t wi, int) {
+    for (std::int64_t wi = 0; wi < windows; ++wi) {
         const int ox = static_cast<int>(wi / outNy);
         const int oy = static_cast<int>(wi % outNy);
         int y0 = 0, y1 = pnx - 1;
@@ -231,7 +229,7 @@ ExecutionPlan::windowReadyTimes(const StepNode &node,
             }
         }
         readyAt[static_cast<std::size_t>(wi)] = ready;
-    });
+    }
     return readyAt;
 }
 

@@ -190,13 +190,11 @@ class ExecutionPlan
      * kernel-window rectangle; the whole previous layer for
      * classifier/SPP layers). `prevDone` is the previous layer's
      * per-window completion array (empty for the first layer: all
-     * zeros). The reduction is pure, so it fans out over `threads`
-     * workers with a bit-identical result at any setting.
+     * zeros).
      */
     std::vector<Cycle>
     windowReadyTimes(const StepNode &node,
-                     std::span<const Cycle> prevDone,
-                     int threads) const;
+                     std::span<const Cycle> prevDone) const;
 
   private:
     ExecutionPlan() = default;

@@ -219,22 +219,30 @@ InferenceSession::makeReady(std::unique_ptr<Request> req,
     }
 }
 
-bool
-InferenceSession::expireIfPastDeadline(Request &req)
+std::exception_ptr
+InferenceSession::deadlineError(const Request &req)
 {
     constexpr auto kForever =
         std::chrono::steady_clock::time_point::max();
     if (req.deadline == kForever ||
         std::chrono::steady_clock::now() < req.deadline)
-        return false;
-    auto err = std::make_exception_ptr(DeadlineExceeded(
+        return nullptr;
+    return std::make_exception_ptr(DeadlineExceeded(
         "InferenceSession: request deadline expired at IR node " +
         std::to_string(req.nodeIdx)));
-    if (req.keepAll)
+}
+
+void
+InferenceSession::deliver(Request &req, std::exception_ptr err)
+{
+    if (err && req.keepAll)
         req.promiseAll.set_exception(std::move(err));
-    else
+    else if (err)
         req.promiseFinal.set_exception(std::move(err));
-    return true;
+    else if (req.keepAll)
+        req.promiseAll.set_value(std::move(req.outs));
+    else
+        req.promiseFinal.set_value(std::move(req.cur));
 }
 
 void
@@ -245,8 +253,8 @@ InferenceSession::stepLocked(std::unique_lock<std::mutex> &lk)
     lk.unlock();
 
     const auto &nodes = _model.executionPlan().nodes();
-    const bool expired = expireIfPastDeadline(*req);
-    bool failed = expired;
+    std::exception_ptr err = deadlineError(*req);
+    const bool expired = err != nullptr;
     bool executed = false;
     if (!expired && req->nodeIdx < nodes.size()) {
         // Layer-steps run under the shared side of the repair lock:
@@ -261,12 +269,7 @@ InferenceSession::stepLocked(std::unique_lock<std::mutex> &lk)
                                req->local);
             executed = true;
         } catch (...) {
-            if (req->keepAll)
-                req->promiseAll.set_exception(std::current_exception());
-            else
-                req->promiseFinal.set_exception(
-                    std::current_exception());
-            failed = true;
+            err = std::current_exception();
         }
         if (executed) {
             if (node.kind == pipeline::StepKind::Dot)
@@ -284,11 +287,11 @@ InferenceSession::stepLocked(std::unique_lock<std::mutex> &lk)
         ++_stats.timedOut;
         _stats.expiredStepsSkipped += nodes.size() - req->nodeIdx;
     }
-    if (!failed && req->nodeIdx < nodes.size()) {
+    if (!err && req->nodeIdx < nodes.size()) {
         makeReady(std::move(req), lk);
         return;
     }
-    if (!failed) {
+    if (!err) {
         // Before delivering, hold the result against the fault
         // records: a request whose Dot steps overlapped a faulty
         // epoch is never completed as-is (zero silently-wrong
@@ -324,16 +327,15 @@ InferenceSession::stepLocked(std::unique_lock<std::mutex> &lk)
             }
             return;
         }
-        // Clean: fulfil outside the lock, then count the completion.
-        lk.unlock();
         _model.finishImage(req->local);
-        if (req->keepAll)
-            req->promiseAll.set_value(std::move(req->outs));
-        else
-            req->promiseFinal.set_value(std::move(req->cur));
-        lk.lock();
     }
+    // Count the completion before resolving the future: a client
+    // that resubmits the moment its result arrives must not find
+    // this request still in flight.
     completeLocked();
+    lk.unlock();
+    deliver(*req, std::move(err));
+    lk.lock();
 }
 
 void
@@ -387,11 +389,7 @@ InferenceSession::failHealLocked(std::unique_ptr<Request> req,
 {
     ++_stats.healFailed;
     completeLocked();
-    auto err = std::make_exception_ptr(RetriesExhausted(what));
-    if (req->keepAll)
-        req->promiseAll.set_exception(std::move(err));
-    else
-        req->promiseFinal.set_exception(std::move(err));
+    deliver(*req, std::make_exception_ptr(RetriesExhausted(what)));
 }
 
 std::size_t

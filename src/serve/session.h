@@ -51,6 +51,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -320,8 +321,11 @@ class InferenceSession
                  std::chrono::steady_clock::time_point admitBy =
                      std::chrono::steady_clock::time_point::max());
 
-    /** Fail an expired request's promise; true if it timed out. */
-    bool expireIfPastDeadline(Request &req);
+    /** The error an expired request fails with, or null. */
+    static std::exception_ptr deadlineError(const Request &req);
+
+    /** Resolve a finished request's future: `err`, or its result. */
+    static void deliver(Request &req, std::exception_ptr err);
 
     /** Push a runnable request and make sure a worker will run it. */
     void makeReady(std::unique_ptr<Request> req,

@@ -7,7 +7,6 @@
 
 #include "arch/edram.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "noc/packet.h"
 #include "pipeline/execution_plan.h"
 #include "pipeline/mapper.h"
@@ -177,16 +176,13 @@ simulateChip(const nn::Network &net,
             std::vector<Cycle> done(
                 static_cast<std::size_t>(outNx) * outNy, 0);
 
-            // The ready time of each window is a pure max-reduction
-            // over the previous layer's completion rectangle, so the
-            // IR precomputes all of them in parallel; dispatch below
-            // stays serial in window order, keeping the resource
-            // schedule (and every result field) bit-identical.
+            // The ready time of each window is a max-reduction over
+            // the previous layer's completion rectangle; dispatch
+            // below runs in window order.
             const std::vector<Cycle> readyAt = ir.windowReadyTimes(
                 node,
                 i > 0 ? std::span<const Cycle>(completion[i - 1])
-                      : std::span<const Cycle>(),
-                cfg.threads());
+                      : std::span<const Cycle>());
 
             for (int ox = 0; ox < outNx; ++ox) {
                 for (int oy = 0; oy < outNy; ++oy) {

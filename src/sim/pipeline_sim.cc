@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "pipeline/execution_plan.h"
 
 namespace isaac::sim {
@@ -51,7 +50,7 @@ class ServerPool
 PipelineSimResult
 simulatePipeline(const nn::Network &net,
                  const pipeline::PipelinePlan &plan, int images,
-                 int tailCycles, int threads)
+                 int tailCycles)
 {
     if (!plan.fits)
         fatal("simulatePipeline: the plan does not fit its chips");
@@ -92,15 +91,12 @@ simulatePipeline(const nn::Network &net,
                 static_cast<std::size_t>(outNx) * outNy;
             std::vector<Cycle> done(windows, 0);
 
-            // Precompute each window's latest-arriving input in
-            // parallel (a pure reduction over the previous layer);
-            // dispatch stays serial so the server schedule — and
-            // thus every reported cycle — is unchanged.
+            // Each window's latest-arriving input (a reduction over
+            // the previous layer), then dispatch in window order.
             const std::vector<Cycle> readyAt = ir.windowReadyTimes(
                 node,
                 i > 0 ? std::span<const Cycle>(completion[i - 1])
-                      : std::span<const Cycle>(),
-                threads);
+                      : std::span<const Cycle>());
 
             for (int ox = 0; ox < outNx; ++ox) {
                 for (int oy = 0; oy < outNy; ++oy) {

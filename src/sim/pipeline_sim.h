@@ -42,15 +42,11 @@ struct PipelineSimResult
  * @param tailCycles  digital pipeline tail per op (ADC drain, S+A,
  *                    OR transfer, sigmoid, eDRAM write: 6 cycles in
  *                    the Fig. 4b schedule).
- * @param threads     worker threads for the window-ready precompute
- *                    (0 = one per hardware thread, 1 = serial); the
- *                    schedule itself is dispatched serially, so the
- *                    result is identical at any setting.
  */
 PipelineSimResult
 simulatePipeline(const nn::Network &net,
                  const pipeline::PipelinePlan &plan, int images,
-                 int tailCycles = 6, int threads = 0);
+                 int tailCycles = 6);
 
 } // namespace isaac::sim
 

@@ -135,6 +135,9 @@ CrossbarArray::driftedBitlineSum(int col, std::span<const int> inputs,
 {
     Acc sum = 0;
     for (std::size_t r = 0; r < inputs.size(); ++r) {
+        // A zero digit contributes nothing: skip the drift draw.
+        if (inputs[r] == 0)
+            continue;
         sum += static_cast<Acc>(inputs[r]) *
             driftedLevel(r * _cols + static_cast<std::size_t>(col), t);
     }

@@ -9,8 +9,8 @@
  * Read noise is *counter-based*: the jitter of a read is a pure
  * function of (seed, read sequence number, column), not of a shared
  * RNG stream. Concurrent readers therefore observe exactly the noise
- * a serial run would, which is what lets the bit-serial engine fan
- * its 16/v phases out across threads with bit-identical results.
+ * a serial run would, which is what lets concurrent callers share one
+ * bit-serial engine with bit-identical results.
  *
  * The 1T1R access device (Sec. II-D) has no effect on the dot product
  * at DAC output voltages and is therefore not modelled beyond its
@@ -105,7 +105,7 @@ class CrossbarArray
     /**
      * Allocation-free variant of the three-argument overload: the
      * result lands in `out` (resized to cols()), so a caller that
-     * loops — the engine's per-worker scratch, the ABFT retry loop —
+     * loops — the engine's per-call scratch, the ABFT retry loop —
      * reuses one buffer instead of allocating per read.
      */
     void readAllBitlinesInto(std::span<const int> inputs,

@@ -6,7 +6,6 @@
 
 #include "common/bits.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "resilience/remap.h"
 #include "xbar/batch_kernel.h"
 #include "xbar/encoding.h"
@@ -52,9 +51,6 @@ EngineConfig::validate() const
         fatal("EngineConfig: maxReadRetries must be non-negative");
     if (retryBackoffCycles < 1)
         fatal("EngineConfig: retryBackoffCycles must be >= 1");
-    if (threads < 0 || threads > kMaxThreads)
-        fatal("EngineConfig: thread count must be in [0, " +
-              std::to_string(kMaxThreads) + "]");
     adcPolicy.validate();
 }
 
@@ -103,17 +99,7 @@ BitSerialEngine::BitSerialEngine(const EngineConfig &cfg,
                 static_cast<std::uint64_t>(rs) * _colSegments + cs);
         }
     }
-    // Tiles are independent (each owns its array and write RNG), so
-    // program them in parallel; within a tile the write order is the
-    // serial one, keeping stored levels bit-identical.
-    parallelFor(
-        static_cast<std::int64_t>(tiles.size()), cfg.threads,
-        [&](std::int64_t i, int) {
-            const int rs = static_cast<int>(i) / _colSegments;
-            const int cs = static_cast<int>(i) % _colSegments;
-            programTile(tile(rs, cs), weights, rs * cfg.rows,
-                        cs * cfg.outputsPerArray());
-        });
+    reprogram(weights);
 }
 
 BitSerialEngine::ArrayTile &
@@ -295,22 +281,14 @@ BitSerialEngine::reprogram(std::span<const Word> weights)
         fatal("BitSerialEngine::reprogram: weight span size does "
               "not match the matrix dimensions");
     }
-    const auto count = static_cast<std::int64_t>(tiles.size());
-    std::vector<std::int64_t> writes(
-        static_cast<std::size_t>(
-            parallelWorkers(cfg.threads, count)),
-        0);
-    parallelFor(count, cfg.threads, [&](std::int64_t i, int w) {
-        const int rs = static_cast<int>(i) / _colSegments;
-        const int cs = static_cast<int>(i) % _colSegments;
-        writes[static_cast<std::size_t>(w)] +=
-            programTile(tile(rs, cs), weights, rs * cfg.rows,
-                        cs * cfg.outputsPerArray());
-    });
-    std::int64_t total = 0;
-    for (std::int64_t w : writes)
-        total += w;
-    return total;
+    // Each tile owns its array and write RNG, so the tile order does
+    // not affect the stored levels.
+    std::int64_t writes = 0;
+    for (int rs = 0; rs < _rowSegments; ++rs)
+        for (int cs = 0; cs < _colSegments; ++cs)
+            writes += programTile(tile(rs, cs), weights, rs * cfg.rows,
+                                  cs * cfg.outputsPerArray());
+    return writes;
 }
 
 bool
@@ -512,57 +490,20 @@ BitSerialEngine::dotProduct(std::span<const Word> inputs) const
     const std::uint64_t opSeq =
         _opSeq.fetch_add(1, std::memory_order_relaxed);
 
-    // Scalar reference path. One task per (phase, row segment); partial sums, stats, and
-    // ADC tallies land in per-worker accumulators. 64-bit integer
-    // addition is associative, so any partitioning merges to the
-    // exact serial result.
-    const auto tasks =
-        static_cast<std::int64_t>(phases) * _rowSegments;
-    const int workers = parallelWorkers(cfg.threads, tasks);
-    std::vector<Partial> parts(static_cast<std::size_t>(workers));
-    for (auto &part : parts) {
-        part.result.assign(static_cast<std::size_t>(_numOutputs), 0);
-        if (!twosComp)
-            part.rawSum.assign(static_cast<std::size_t>(_numOutputs),
-                               0);
-        part.tileAdc.assign(tiles.size(), AdcTally{});
-    }
+    // Scalar reference path: every (phase, row segment) pass lands
+    // its partial sums, stats, and ADC tallies in one call-local
+    // accumulator.
+    Partial part;
+    part.result.assign(static_cast<std::size_t>(_numOutputs), 0);
+    if (!twosComp)
+        part.rawSum.assign(static_cast<std::size_t>(_numOutputs), 0);
+    part.tileAdc.assign(tiles.size(), AdcTally{});
+    for (int p = 0; p < phases; ++p)
+        for (int rs = 0; rs < _rowSegments; ++rs)
+            runPhaseSegment(inputs, p, rs, opSeq, part);
 
-    parallelFor(tasks, cfg.threads, [&](std::int64_t task, int w) {
-        runPhaseSegment(inputs, static_cast<int>(task / _rowSegments),
-                        static_cast<int>(task % _rowSegments), opSeq,
-                        parts[static_cast<std::size_t>(w)]);
-    });
-
-    // Merge the per-worker partials (slot order; the sums are
-    // order-insensitive anyway).
-    std::vector<Acc> result(std::move(parts[0].result));
-    std::vector<Acc> rawSum(std::move(parts[0].rawSum));
-    Acc unitTotal = parts[0].unitTotal;
-    EngineStats delta = parts[0].stats;
-    resilience::TransientStats transientDelta = parts[0].transient;
-    std::vector<AdcTally> tileTally(std::move(parts[0].tileAdc));
-    for (std::size_t w = 1; w < parts.size(); ++w) {
-        const auto &part = parts[w];
-        transientDelta.merge(part.transient);
-        for (int k = 0; k < _numOutputs; ++k)
-            result[static_cast<std::size_t>(k)] +=
-                part.result[static_cast<std::size_t>(k)];
-        if (!twosComp) {
-            for (int k = 0; k < _numOutputs; ++k)
-                rawSum[static_cast<std::size_t>(k)] +=
-                    part.rawSum[static_cast<std::size_t>(k)];
-        }
-        unitTotal += part.unitTotal;
-        delta.crossbarReads += part.stats.crossbarReads;
-        delta.adcSamples += part.stats.adcSamples;
-        delta.shiftAdds += part.stats.shiftAdds;
-        delta.dacActivations += part.stats.dacActivations;
-        for (std::size_t i = 0; i < tileTally.size(); ++i)
-            tileTally[i].merge(part.tileAdc[i]);
-    }
     AdcTally tally;
-    for (const auto &t : tileTally)
+    for (const auto &t : part.tileAdc)
         tally.merge(t);
 
     if (!twosComp) {
@@ -579,9 +520,9 @@ BitSerialEngine::dotProduct(std::span<const Word> inputs) const
             for (int rs = 0; rs < _rowSegments; ++rs)
                 sumU += tile(rs, cs)
                             .sumBiased[static_cast<std::size_t>(o)];
-            result[static_cast<std::size_t>(k)] =
-                rawSum[static_cast<std::size_t>(k)] -
-                kWeightBias * unitTotal - kWeightBias * sumU +
+            part.result[static_cast<std::size_t>(k)] =
+                part.rawSum[static_cast<std::size_t>(k)] -
+                kWeightBias * part.unitTotal - kWeightBias * sumU +
                 totalUsedRows * kWeightBias * kWeightBias;
         }
     }
@@ -596,15 +537,15 @@ BitSerialEngine::dotProduct(std::span<const Word> inputs) const
     if (cfg.noise.driftEnabled() && cfg.noise.refreshIntervalOps &&
         (opSeq + 1) % cfg.noise.refreshIntervalOps == 0) {
         for (const auto &t : tiles) {
-            ++transientDelta.driftRefreshes;
-            transientDelta.refreshPulses += static_cast<std::uint64_t>(
+            ++part.transient.driftRefreshes;
+            part.transient.refreshPulses += static_cast<std::uint64_t>(
                 t.array->programmedCells());
         }
     }
 
     adc.addTally(tally);
-    publishDelta(1, delta, tally, transientDelta, tileTally);
-    return result;
+    publishDelta(1, part.stats, tally, part.transient, part.tileAdc);
+    return std::move(part.result);
 }
 
 void
@@ -1012,52 +953,24 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
     _opSeq.fetch_add(static_cast<std::uint64_t>(count),
                      std::memory_order_relaxed);
 
-    // One task per contiguous window block. A block owns its windows
-    // end to end — their result slices and unit totals are written
-    // by exactly one worker — so only the commutative counters go
-    // through per-worker Partials. The block size balances SIMD row
-    // length against load balance; results and counters are
-    // independent of it (and of the thread count).
-    const int blockSize = std::clamp(
-        static_cast<int>(
-            ceilDiv(static_cast<std::int64_t>(count),
-                    static_cast<std::int64_t>(
-                        parallelWorkers(cfg.threads, count)))),
-        8, 256);
-    const auto blocks = static_cast<std::int64_t>(
-        ceilDiv(count, blockSize));
-    const int workers = parallelWorkers(cfg.threads, blocks);
-    std::vector<Partial> parts(static_cast<std::size_t>(workers));
-    for (auto &part : parts)
-        part.tileAdc.assign(tiles.size(), AdcTally{});
+    // Contiguous window blocks of at most kBlockWindows bound the
+    // GEMM scratch; results and counters are independent of the
+    // block size.
+    constexpr int kBlockWindows = 256;
+    Partial part;
+    part.tileAdc.assign(tiles.size(), AdcTally{});
     std::vector<Acc> unitTotals;
     if (!twosComp)
         unitTotals.assign(static_cast<std::size_t>(count), 0);
-
-    parallelFor(blocks, cfg.threads, [&](std::int64_t blk, int w) {
-        const int first = static_cast<int>(blk) * blockSize;
+    for (int first = 0; first < count; first += kBlockWindows) {
         runBatchBlock(inputs, first,
-                      std::min(blockSize, count - first),
+                      std::min(kBlockWindows, count - first),
                       std::span<Acc>(out),
-                      twosComp ? nullptr : unitTotals.data(),
-                      parts[static_cast<std::size_t>(w)]);
-    });
-
-    EngineStats delta = parts[0].stats;
-    resilience::TransientStats transientDelta = parts[0].transient;
-    std::vector<AdcTally> tileTally(std::move(parts[0].tileAdc));
-    for (std::size_t w = 1; w < parts.size(); ++w) {
-        const auto &part = parts[w];
-        transientDelta.merge(part.transient);
-        delta.crossbarReads += part.stats.crossbarReads;
-        delta.adcSamples += part.stats.adcSamples;
-        delta.shiftAdds += part.stats.shiftAdds;
-        delta.dacActivations += part.stats.dacActivations;
-        for (std::size_t i = 0; i < tileTally.size(); ++i)
-            tileTally[i].merge(part.tileAdc[i]);
+                      twosComp ? nullptr : unitTotals.data(), part);
     }
+
     AdcTally tally;
-    for (const auto &t : tileTally)
+    for (const auto &t : part.tileAdc)
         tally.merge(t);
 
     if (!twosComp) {
@@ -1092,8 +1005,8 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
     // fastPathActive() implies drift is disabled, so the periodic
     // refresh accounting dotProduct() performs can never trigger.
     adc.addTally(tally);
-    publishDelta(static_cast<std::uint64_t>(count), delta, tally,
-                 transientDelta, tileTally);
+    publishDelta(static_cast<std::uint64_t>(count), part.stats, tally,
+                 part.transient, part.tileAdc);
     return out;
 }
 

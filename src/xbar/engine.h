@@ -22,13 +22,14 @@
  * Logical matrices larger than one physical array are tiled across
  * row segments (partial sums added digitally) and column segments.
  *
- * Thread-safety contract (see docs/threading.md): dotProduct() is
- * const and safe to call concurrently from any number of threads on
- * one engine. Each call accumulates its activity into per-worker
- * tallies that are merged once at the end, so results AND final
- * counter values are bit-identical to a serial run regardless of the
- * thread count. reprogram() is a structural mutation and must not
- * overlap any other call.
+ * Thread-safety contract (see docs/threading.md): every call runs on
+ * its caller's thread. dotProduct() is const and safe to call
+ * concurrently from any number of threads on one engine. Each call
+ * accumulates its activity into call-local tallies that are published
+ * once at the end, so results AND final counter values are
+ * bit-identical to a serial run however the callers interleave.
+ * reprogram() is a structural mutation and must not overlap any other
+ * call.
  */
 
 #ifndef ISAAC_XBAR_ENGINE_H
@@ -91,16 +92,6 @@ struct EngineConfig
      * uncorrectable (see resilience/remap.h).
      */
     int spareCols = 0;
-
-    /**
-     * Worker threads for programming, for the window blocks of a
-     * dotProductBatch() call, and for the scalar path's phases: 0 =
-     * one per hardware thread, 1 = serial (reproduces the historical
-     * behavior cycle-for-cycle). A packed single-window dotProduct()
-     * is one block and runs on the calling thread. Results are
-     * bit-identical at any setting.
-     */
-    int threads = 0;
 
     /**
      * Program one extra physical column per array holding, in each
@@ -270,7 +261,7 @@ class BitSerialEngine
      * and merge window by window instead. Results and every counter
      * (EngineStats, per-tile AdcTally, TransientStats, array read
      * cycles) are bit-identical to `count` sequential scalar
-     * dotProduct() calls at any thread count and any dispatch tier.
+     * dotProduct() calls at any dispatch tier.
      * Noisy, drifting, or fault-injected engines fall back to
      * per-window scalar dotProduct() calls internally, so the batch
      * entry point is always safe to use. Thread-safe like
@@ -337,7 +328,7 @@ class BitSerialEngine
     /**
      * Fault map the latest programming pass detected on one tile's
      * array (physical coordinates, used rows only). Deterministic
-     * per (seed, geometry) at any thread count.
+     * per (seed, geometry).
      */
     const resilience::FaultMap &faultMap(int rs, int cs) const;
 
@@ -403,7 +394,7 @@ class BitSerialEngine
   private:
     /**
      * Cache-line-aligned: tiles sit adjacent in the `tiles` vector and
-     * concurrent workers read/evaluate different tiles; alignment
+     * concurrent callers read/evaluate different tiles; alignment
      * keeps one tile's mutable tail (fault census, taint flag) off its
      * neighbour's line.
      */
@@ -439,13 +430,9 @@ class BitSerialEngine
         bool tainted = false;
     };
 
-    /**
-     * Per-worker accumulator for one dotProduct() call.
-     * Cache-line-aligned: parallelFor hands adjacent elements of a
-     * `std::vector<Partial>` to different workers, so an unaligned
-     * Partial would put two workers' hottest scratch on one line.
-     */
-    struct alignas(kCacheLineBytes) Partial
+    /** Scratch and counter accumulator of one dotProduct() or
+     *  dotProductBatch() call. */
+    struct Partial
     {
         std::vector<Acc> result;  ///< Phase contributions per output.
         std::vector<Acc> rawSum;  ///< Biased-mode running totals.
@@ -474,8 +461,8 @@ class BitSerialEngine
     /**
      * Scalar evaluation of phase p against row segment rs into
      * `part`. `opSeq` is this dotProduct() call's operation number;
-     * together with p it keys the read-noise draw so any execution
-     * order reproduces the serial noise realization.
+     * together with p it keys the read-noise draw so any call
+     * interleaving reproduces the serial noise realization.
      */
     void runPhaseSegment(std::span<const Word> inputs, int p, int rs,
                          std::uint64_t opSeq, Partial &part) const;
@@ -608,7 +595,6 @@ class BitSerialEngine
     // static_asserts live next to the other layout checks instead of
     // inside this header.
     static constexpr std::size_t kArrayTileAlign = alignof(ArrayTile);
-    static constexpr std::size_t kPartialAlign = alignof(Partial);
 };
 
 } // namespace isaac::xbar

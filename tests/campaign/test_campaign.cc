@@ -204,9 +204,9 @@ TEST(CampaignScenario, PolicyFieldRoundTripsAndDefaultsToFixed)
     EXPECT_THROW(Scenario::parse(bad), FatalError);
 
     // The scenario config carries the policy into the engine.
-    EXPECT_TRUE(s.config(1).engine.adcPolicy.isAdaptive());
-    EXPECT_EQ(s.config(1).engine.adcPolicy.bits, 7);
-    EXPECT_FALSE(legacy.config(1).engine.adcPolicy.isAdaptive());
+    EXPECT_TRUE(s.config().engine.adcPolicy.isAdaptive());
+    EXPECT_EQ(s.config().engine.adcPolicy.bits, 7);
+    EXPECT_FALSE(legacy.config().engine.adcPolicy.isAdaptive());
 }
 
 TEST(CampaignGrid, PolicyAxisMultipliesEnumeration)
@@ -439,7 +439,7 @@ TEST(Campaign, ResetForScenarioMatchesAFreshCompileBitForBit)
     s.spareCols = 2;
     s.driftPerOp = 5e-4;
     s.driftAge = 512;
-    const core::Accelerator acc(s.config(1));
+    const core::Accelerator acc(s.config());
     const FixedFormat fmt{12};
     const auto input = nn::synthesizeInput(16, 12, 12, 99, fmt);
 
@@ -486,7 +486,7 @@ TEST(Campaign, ReplayAfterResetRewindsEpochStatLogsExactly)
     s.writeSigma = 0.15;
     s.stuckRate = 0.005;
     s.spareCols = 2;
-    const core::Accelerator acc(s.config(1));
+    const core::Accelerator acc(s.config());
     const FixedFormat fmt{12};
     std::vector<nn::Tensor> inputs;
     for (int i = 0; i < 3; ++i)

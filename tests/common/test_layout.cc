@@ -13,8 +13,8 @@
  *  - EpochLog::Slot: one publishing worker per slot; a slot sharing a
  *    line with its neighbour would re-create the very contention the
  *    log exists to remove.
- *  - BitSerialEngine's ArrayTile / Partial: adjacent vector
- *    elements handed to different workers.
+ *  - BitSerialEngine's ArrayTile: adjacent vector elements read by
+ *    concurrent callers.
  *  - Adc sample/clip counters: every op retire RMWs them.
  */
 
@@ -36,10 +36,9 @@ static_assert((kCacheLineBytes & (kCacheLineBytes - 1)) == 0);
 static_assert(alignof(EpochLog::Slot) == kCacheLineBytes);
 static_assert(sizeof(EpochLog::Slot) == kCacheLineBytes);
 
-// Engine hot structures (private; geometry exported via probes).
+// Engine tiles (private; geometry exported via a probe).
 static_assert(xbar::BitSerialEngine::kArrayTileAlign ==
               kCacheLineBytes);
-static_assert(xbar::BitSerialEngine::kPartialAlign == kCacheLineBytes);
 
 TEST(Layout, FalseSharingAuditHolds)
 {

@@ -101,6 +101,12 @@ TEST(Parser, RejectsMalformedDescriptions)
                  FatalError);
     EXPECT_THROW(parseNetwork("input 3 8 8\nconv 3 8 warp\n"),
                  FatalError);
+    // A negative pad is not 'same' (shared kernels) nor 0 (private).
+    EXPECT_THROW(parseNetwork("input 3 8 8\nconv 5 6 pad -3\n"),
+                 FatalError);
+    EXPECT_THROW(
+        parseNetwork("input 3 8 8\nconv 5 6 pad -3 private\n"),
+        FatalError);
 }
 
 TEST(Parser, LoadsFromFile)

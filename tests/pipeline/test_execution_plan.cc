@@ -166,7 +166,7 @@ TEST(ExecutionPlan, WindowReadyTimesValidatesProducerShape)
     // First layer: no producer, all-zero ready times.
     const auto &first = ir.node(ir.computeOrder()[0]);
     const auto &l0 = net.layer(0);
-    const auto ready0 = ir.windowReadyTimes(first, {}, 1);
+    const auto ready0 = ir.windowReadyTimes(first, {});
     EXPECT_EQ(ready0.size(),
               static_cast<std::size_t>(l0.outNx()) * l0.outNy());
     for (const Cycle c : ready0)
@@ -177,7 +177,7 @@ TEST(ExecutionPlan, WindowReadyTimesValidatesProducerShape)
     const std::vector<Cycle> bogus(3, 1);
     EXPECT_THROW(
         ir.windowReadyTimes(
-            second, std::span<const Cycle>(bogus), 1),
+            second, std::span<const Cycle>(bogus)),
         FatalError);
 }
 

@@ -669,5 +669,65 @@ TEST(Session, ShutdownRacesStealingPumpsWithoutLosingRequests)
     EXPECT_EQ(session.inFlight(), 0u);
 }
 
+TEST(Session, ClosedLoopClientHoldsOneRequestInFlight)
+{
+    // A client that resubmits the moment its future resolves has at
+    // most one request in flight: the session counts a completion
+    // before it resolves the future, so the finished request is
+    // never counted next to its successor. Clients poll the session
+    // while they wait, so they are already running (and contending
+    // for the session lock) when a result lands.
+    const auto net = nn::tinyCnn();
+    const auto weights = nn::WeightStore::synthesize(net, 61);
+    const core::CompileOptions opts;
+    const core::Accelerator acc(arch::IsaacConfig{});
+    const auto model = acc.compile(net, weights, opts);
+    const auto input = makeInputs(net, 1, opts.format).front();
+    const auto want = model.infer(input);
+
+    // `clients` closed loops of `requests` each; every client checks
+    // the in-flight count never exceeds one request per client.
+    const auto closedLoop = [&](InferenceSession &session, int clients,
+                                int requests) {
+        const auto bound = static_cast<std::size_t>(clients);
+        const auto client = [&] {
+            for (int i = 0; i < requests; ++i) {
+                auto fut = session.submit(input);
+                while (fut.wait_for(std::chrono::seconds(0)) !=
+                       std::future_status::ready) {
+                    for (int poll = 0; poll < 16; ++poll)
+                        ASSERT_LE(session.inFlight(), bound)
+                            << "request " << i;
+                }
+                ASSERT_EQ(fut.get().raw(), want.raw());
+                ASSERT_LE(session.inFlight(), bound - 1)
+                    << "request " << i;
+            }
+        };
+        std::vector<std::thread> threads;
+        for (int c = 0; c < clients; ++c)
+            threads.emplace_back(client);
+        for (auto &t : threads)
+            t.join();
+        EXPECT_EQ(session.inFlight(), 0u);
+        EXPECT_LE(session.stats().peakInFlight, bound);
+    };
+
+    for (const int workers : {1, 3}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        SessionOptions sopts;
+        sopts.workers = workers;
+        InferenceSession session(model, sopts);
+        closedLoop(session, 1, 300);
+        EXPECT_EQ(session.stats().peakInFlight, 1u);
+    }
+    // Several closed-loop clients race their completions against each
+    // other's admissions.
+    SessionOptions sopts;
+    sopts.workers = 3;
+    InferenceSession session(model, sopts);
+    closedLoop(session, 4, 150);
+}
+
 } // namespace
 } // namespace isaac::serve

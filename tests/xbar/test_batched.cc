@@ -4,9 +4,9 @@
  * of every compiled dispatch tier against a direct triple-loop
  * oracle, and engine-level equivalence of dotProductBatch() with N
  * sequential scalar dotProduct() calls — results, EngineStats,
- * per-tile AdcTally, TransientStats, and read cycles, at every thread
- * count, every forced tier, every batch size on both sides of the
- * small-batch shape, and across the encoding sweep. The packed path
+ * per-tile AdcTally, TransientStats, and read cycles, at every forced
+ * tier, every batch size on both sides of the small-batch shape and
+ * across a window-block boundary, and across the encoding sweep. The packed path
  * is only allowed to exist because these never move.
  */
 
@@ -306,8 +306,9 @@ sweepPoints()
     return points;
 }
 
-/** Batch sizes on both sides of kernel::kSmallBatch and its tails. */
-constexpr int kCounts[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 64};
+/** Batch sizes on both sides of kernel::kSmallBatch and its tails,
+ *  plus one that spills a single window past the 256-window block. */
+constexpr int kCounts[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 257};
 
 TEST(Batched, GoldenEquivalenceSweep)
 {
@@ -318,12 +319,11 @@ TEST(Batched, GoldenEquivalenceSweep)
     for (const auto &point : sweepPoints()) {
         // Ground truth: the scalar reference path, window by window.
         EngineConfig scalar = point.cfg;
-        scalar.threads = 1;
         scalar.fastPath = false;
 
         // Counts straddle the small-batch shape, the vector widths,
-        // and the block-size clamp (min 8), and include a repeated
-        // window and an all-ones window (every digit set: the largest
+        // and the window-block size, and include a repeated window
+        // and an all-ones window (every digit set: the largest
         // reading each column can produce).
         std::uint64_t clips = 0;
         for (const int count : kCounts) {
@@ -338,17 +338,11 @@ TEST(Batched, GoldenEquivalenceSweep)
                                               inputs, count);
             clips += golden.adcClips;
 
-            for (const int threads : {1, 2, 4, 8}) {
-                EngineConfig fast = point.cfg;
-                fast.threads = threads;
-                fast.fastPath = true;
-                expectTracesEqual(
-                    golden,
-                    runBatched(fast, weights, n, m, inputs, count),
-                    std::string(point.name) + " count" +
-                        std::to_string(count) + " t" +
-                        std::to_string(threads));
-            }
+            expectTracesEqual(
+                golden,
+                runBatched(point.cfg, weights, n, m, inputs, count),
+                std::string(point.name) + " count" +
+                    std::to_string(count));
         }
         // The dense stuck-at-high point must actually clip, so the
         // clamped ladder's clip counting is compared, not just run.
@@ -367,13 +361,11 @@ TEST(Batched, EveryCompiledTierIsInvisibleAtEngineLevel)
     const auto inputs = randomWords(rng, n * count);
 
     EngineConfig scalar;
-    scalar.threads = 1;
     scalar.fastPath = false;
     const auto golden =
         runSequential(scalar, weights, n, m, inputs, count);
 
-    EngineConfig fast;
-    fast.threads = 4;
+    const EngineConfig fast;
     TierGuard guard;
     for (int t = 0; t <= static_cast<int>(kernel::detectedTier());
          ++t) {
@@ -426,7 +418,6 @@ TEST(Batched, SmallBatchShapeIsInvisibleAtEveryCompiledTier)
                         inputs[i] = full[i];
                 }
                 EngineConfig scalar = point->cfg;
-                scalar.threads = 1;
                 scalar.fastPath = false;
                 const auto golden = runSequential(
                     scalar, weights, shape.n, shape.m, inputs, count);
@@ -434,8 +425,7 @@ TEST(Batched, SmallBatchShapeIsInvisibleAtEveryCompiledTier)
                      t <= static_cast<int>(kernel::detectedTier());
                      ++t) {
                     kernel::forceTier(static_cast<kernel::Tier>(t));
-                    EngineConfig fast = point->cfg;
-                    fast.threads = 1;
+                    const EngineConfig &fast = point->cfg;
                     const std::string label = std::string(name) +
                         " " + std::to_string(shape.n) + "x" +
                         std::to_string(shape.m) + " count" +
@@ -479,7 +469,6 @@ TEST(Batched, ClipBoundFollowsStuckCellsAfterRepair)
                                     static_cast<std::size_t>(n));
 
     EngineConfig cfg;
-    cfg.threads = 1;
     EngineConfig scalar = cfg;
     scalar.fastPath = false;
     BitSerialEngine engine(cfg, weights, n, m);
@@ -520,7 +509,6 @@ TEST(Batched, NoisyConfigFallsBackPerWindow)
     // still be safe and must replay the exact per-window noise
     // streams a sequential caller would see.
     EngineConfig noisy;
-    noisy.threads = 1;
     noisy.noise.sigmaLsb = 0.5;
     const int n = 128, m = 16, count = 3;
     Rng rng(0x0157);
@@ -548,7 +536,6 @@ TEST(Batched, MixedBatchAndSequentialCallsShareTheOpStream)
     // A batch of k windows advances the op sequence by k, so later
     // per-window calls land on the same op numbers either way.
     EngineConfig cfg;
-    cfg.threads = 1;
     const int n = 128, m = 16;
     Rng rng(0x3A7);
     const auto weights = randomWords(rng, n * m);
@@ -577,7 +564,6 @@ TEST(Batched, MixedBatchAndSequentialCallsShareTheOpStream)
 TEST(Batched, EmptyBatchIsANoOp)
 {
     EngineConfig cfg;
-    cfg.threads = 1;
     Rng rng(0xE);
     const auto weights = randomWords(rng, 128 * 16);
     BitSerialEngine engine(cfg, weights, 128, 16);
@@ -590,7 +576,6 @@ TEST(Batched, EmptyBatchIsANoOp)
 TEST(Batched, BadBatchArgumentsAreFatal)
 {
     EngineConfig cfg;
-    cfg.threads = 1;
     Rng rng(0xBAD);
     const auto weights = randomWords(rng, 128 * 16);
     BitSerialEngine engine(cfg, weights, 128, 16);

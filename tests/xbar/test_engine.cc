@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "xbar/engine.h"
@@ -155,12 +158,16 @@ TEST(Engine, ExactExtremeValues)
     EXPECT_EQ(eng.adcClips(), 0u);
 }
 
+/** gtest names each case after its raw bytes, so the struct has no
+ *  padding: every byte is a field, and names are stable per build. */
 struct GeomCase
 {
     int rows, cols, cellBits, dacBits;
-    bool flip;
+    std::int32_t flip;
     InputMode mode;
 };
+static_assert(std::has_unique_object_representations_v<GeomCase>);
+static_assert(sizeof(GeomCase) == 24);
 
 class EngineGeometry : public ::testing::TestWithParam<GeomCase> {};
 
@@ -173,7 +180,7 @@ TEST_P(EngineGeometry, ExactForGeometry)
     cfg.cols = p.cols;
     cfg.cellBits = p.cellBits;
     cfg.dacBits = p.dacBits;
-    cfg.flipEncoding = p.flip;
+    cfg.flipEncoding = p.flip != 0;
     cfg.inputMode = p.mode;
 
     const int n = p.rows + p.rows / 2; // force two row segments

@@ -170,20 +170,12 @@ TEST(FastPath, GoldenEquivalenceSweep)
 
     for (const auto &point : sweepPoints()) {
         EngineConfig scalar = point.cfg;
-        scalar.threads = 1;
         scalar.fastPath = false;
         const auto golden =
             runSequence(scalar, weights, n, m, inputs);
-
-        for (const int threads : {1, 2, 4, 8}) {
-            EngineConfig fast = point.cfg;
-            fast.threads = threads;
-            fast.fastPath = true;
-            expectTracesEqual(
-                golden, runSequence(fast, weights, n, m, inputs),
-                std::string(point.name) + " fast t" +
-                    std::to_string(threads));
-        }
+        expectTracesEqual(
+            golden, runSequence(point.cfg, weights, n, m, inputs),
+            std::string(point.name) + " fast");
     }
 }
 
@@ -196,7 +188,6 @@ TEST(FastPath, InvalidationOnReprogram)
     const auto x = randomWords(rng, n);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     BitSerialEngine engine(cfg, w1, n, m);
     EngineConfig scalar = cfg;
     scalar.fastPath = false;
@@ -217,7 +208,6 @@ TEST(FastPath, InvalidationOnReprogram)
 TEST(FastPath, NoisyConfigFallsBackToScalar)
 {
     EngineConfig noisy;
-    noisy.threads = 1;
     noisy.noise.sigmaLsb = 0.5;
     Rng rng(0x0157);
     const auto weights = randomWords(rng, 128 * 16);
@@ -238,7 +228,6 @@ TEST(FastPath, NoisyConfigFallsBackToScalar)
 TEST(FastPath, DriftConfigFallsBackToScalar)
 {
     EngineConfig drifty;
-    drifty.threads = 1;
     drifty.noise.driftLevelsPerOp = 0.01;
     drifty.noise.refreshIntervalOps = 16;
     Rng rng(0xD21F);
@@ -250,7 +239,6 @@ TEST(FastPath, DriftConfigFallsBackToScalar)
 TEST(FastPath, InjectionDisablesFastPath)
 {
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.abftChecksum = true;
     Rng rng(0x1412);
     const auto weights = randomWords(rng, 128 * 16);
@@ -359,7 +347,6 @@ TEST(FastPath, ResetStatsReplaysExactly)
     // engine would: every counter rewinds, and the replay reproduces
     // the first run's results and counters.
     EngineConfig cfg;
-    cfg.threads = 1;
     Rng rng(0x2E5E7);
     const auto weights = randomWords(rng, 128 * 16);
     const auto x = randomWords(rng, 128);

@@ -273,61 +273,57 @@ TEST(AdcPolicy, LosslessAdaptiveIsBitAndCounterExact)
     for (const auto &[name, base] : losslessSweep()) {
         for (const int count : {1, 9}) {
             const auto inputs = randomWords(rng, n * count);
-            for (const int threads : {1, 4}) {
-                EngineConfig fixedCfg = base;
-                fixedCfg.threads = threads;
-                EngineConfig adCfg = fixedCfg;
-                adCfg.adcPolicy = AdcPolicy::adaptive();
-                ASSERT_TRUE(adCfg.adcPolicy.lossless(
-                    fixedCfg.adcBits()));
+            const EngineConfig &fixedCfg = base;
+            EngineConfig adCfg = fixedCfg;
+            adCfg.adcPolicy = AdcPolicy::adaptive();
+            ASSERT_TRUE(adCfg.adcPolicy.lossless(
+                fixedCfg.adcBits()));
 
-                for (const bool batched : {false, true}) {
-                    const std::string label = std::string(name) +
-                        " count=" + std::to_string(count) +
-                        " threads=" + std::to_string(threads) +
-                        (batched ? " batched" : " sequential");
-                    SCOPED_TRACE(label);
-                    const RunTrace f = batched
-                        ? runBatched(fixedCfg, weights, n, m, inputs,
-                                     count)
-                        : runSequential(fixedCfg, weights, n, m,
-                                        inputs, count);
-                    const RunTrace a = batched
-                        ? runBatched(adCfg, weights, n, m, inputs,
-                                     count)
-                        : runSequential(adCfg, weights, n, m, inputs,
-                                        count);
+            for (const bool batched : {false, true}) {
+                const std::string label = std::string(name) +
+                    " count=" + std::to_string(count) +
+                    (batched ? " batched" : " sequential");
+                SCOPED_TRACE(label);
+                const RunTrace f = batched
+                    ? runBatched(fixedCfg, weights, n, m, inputs,
+                                 count)
+                    : runSequential(fixedCfg, weights, n, m,
+                                    inputs, count);
+                const RunTrace a = batched
+                    ? runBatched(adCfg, weights, n, m, inputs,
+                                 count)
+                    : runSequential(adCfg, weights, n, m, inputs,
+                                    count);
 
-                    // Bit-exact results, no clipping either side.
-                    EXPECT_EQ(f.results, a.results);
-                    EXPECT_EQ(f.adcClips, 0u);
-                    EXPECT_EQ(a.adcClips, 0u);
+                // Bit-exact results, no clipping either side.
+                EXPECT_EQ(f.results, a.results);
+                EXPECT_EQ(f.adcClips, 0u);
+                EXPECT_EQ(a.adcClips, 0u);
 
-                    // Counter-exact: everything but the comparator
-                    // cycles the adaptive policy exists to save.
-                    EngineStats masked = a.stats;
-                    masked.adcBitCycles = f.stats.adcBitCycles;
-                    EXPECT_TRUE(masked == f.stats);
-                    ASSERT_EQ(f.tiles.size(), a.tiles.size());
-                    for (std::size_t i = 0; i < f.tiles.size(); ++i) {
-                        EXPECT_EQ(f.tiles[i].samples,
-                                  a.tiles[i].samples);
-                        EXPECT_EQ(f.tiles[i].clips,
-                                  a.tiles[i].clips);
-                    }
-                    EXPECT_EQ(f.readCycles, a.readCycles);
-
-                    // Fixed charges exactly samples * cap; adaptive
-                    // never exceeds that and beats it on this data.
-                    const auto cap = static_cast<std::uint64_t>(
-                        fixedCfg.adcBits());
-                    EXPECT_EQ(f.stats.adcBitCycles,
-                              f.stats.adcSamples * cap);
-                    EXPECT_LT(a.stats.adcBitCycles,
-                              f.stats.adcBitCycles);
-                    EXPECT_GE(a.stats.adcBitCycles,
-                              a.stats.adcSamples);
+                // Counter-exact: everything but the comparator
+                // cycles the adaptive policy exists to save.
+                EngineStats masked = a.stats;
+                masked.adcBitCycles = f.stats.adcBitCycles;
+                EXPECT_TRUE(masked == f.stats);
+                ASSERT_EQ(f.tiles.size(), a.tiles.size());
+                for (std::size_t i = 0; i < f.tiles.size(); ++i) {
+                    EXPECT_EQ(f.tiles[i].samples,
+                              a.tiles[i].samples);
+                    EXPECT_EQ(f.tiles[i].clips,
+                              a.tiles[i].clips);
                 }
+                EXPECT_EQ(f.readCycles, a.readCycles);
+
+                // Fixed charges exactly samples * cap; adaptive
+                // never exceeds that and beats it on this data.
+                const auto cap = static_cast<std::uint64_t>(
+                    fixedCfg.adcBits());
+                EXPECT_EQ(f.stats.adcBitCycles,
+                          f.stats.adcSamples * cap);
+                EXPECT_LT(a.stats.adcBitCycles,
+                          f.stats.adcBitCycles);
+                EXPECT_GE(a.stats.adcBitCycles,
+                          a.stats.adcSamples);
             }
         }
     }
@@ -337,8 +333,8 @@ TEST(AdcPolicy, LosslessAdaptiveIsBitAndCounterExact)
  * Where losslessness is NOT provable — noisy arrays, stuck cells,
  * an under-capped converter — the adaptive policy must still be
  * deterministic and identical across the scalar walk, the batched
- * path, every compiled kernel tier, and every thread count, with
- * clips flowing into the same counters.
+ * path, and every compiled kernel tier, with clips flowing into the
+ * same counters.
  */
 TEST(AdcPolicy, AdaptiveDeltasAreSeedStableAcrossTiers)
 {
@@ -375,7 +371,6 @@ TEST(AdcPolicy, AdaptiveDeltasAreSeedStableAcrossTiers)
     const auto top = static_cast<int>(kernel::detectedTier());
     for (const auto &[name, base] : points) {
         EngineConfig scalar = base;
-        scalar.threads = 1;
         scalar.fastPath = false;
         const auto golden =
             runSequential(scalar, weights, n, m, inputs, count);
@@ -385,25 +380,13 @@ TEST(AdcPolicy, AdaptiveDeltasAreSeedStableAcrossTiers)
             EXPECT_GT(golden.adcClips, 0u);
         }
 
-        for (const int threads : {1, 2, 4, 8}) {
-            EngineConfig cfg = base;
-            cfg.threads = threads;
-            expectTracesEqual(
-                golden,
-                runSequential(cfg, weights, n, m, inputs, count),
-                std::string(name) + " sequential threads=" +
-                    std::to_string(threads));
-            expectTracesEqual(
-                golden, runBatched(cfg, weights, n, m, inputs, count),
-                std::string(name) + " batched threads=" +
-                    std::to_string(threads));
-        }
+        expectTracesEqual(
+            golden, runSequential(base, weights, n, m, inputs, count),
+            std::string(name) + " sequential");
         for (int t = 0; t <= top; ++t) {
             kernel::forceTier(static_cast<kernel::Tier>(t));
-            EngineConfig cfg = base;
-            cfg.threads = 2;
             expectTracesEqual(
-                golden, runBatched(cfg, weights, n, m, inputs, count),
+                golden, runBatched(base, weights, n, m, inputs, count),
                 std::string(name) + " tier " +
                     kernel::tierName(static_cast<kernel::Tier>(t)));
         }
@@ -447,7 +430,6 @@ TEST(AdcPolicy, TinyCnnSessionIsBitExactAtEveryWorkerCount)
     };
 
     arch::IsaacConfig fixedCfg;
-    fixedCfg.engine.threads = 1;
     arch::IsaacConfig adCfg = fixedCfg;
     adCfg.engine.adcPolicy = AdcPolicy::adaptive();
 

@@ -38,7 +38,6 @@ TEST(Repair, StuckBurstIsRemappedAndResultsReturnExact)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.abftChecksum = true;
     cfg.spareCols = 4;
     BitSerialEngine eng(cfg, weights, n, m);
@@ -79,7 +78,6 @@ TEST(Repair, HealthyTileRepairIsAnIdentity)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.spareCols = 2;
     BitSerialEngine eng(cfg, weights, n, m);
     BitSerialEngine twin(cfg, weights, n, m);
@@ -103,7 +101,6 @@ TEST(Repair, TotalTileCorruptionReportsUncorrectableCells)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.abftChecksum = true;
     cfg.spareCols = 2;
     BitSerialEngine eng(cfg, weights, n, m);
@@ -128,7 +125,6 @@ TEST(Repair, SparesExhaustedLeavesUncorrectableResidue)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.spareCols = 1;
     BitSerialEngine eng(cfg, weights, n, m);
 
@@ -151,7 +147,6 @@ TEST(Repair, WriteNoiseIsFatal)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.noise.writeSigmaLevels = 0.4;
     cfg.noise.seed = 5;
     BitSerialEngine eng(cfg, weights, n, m);
@@ -164,7 +159,6 @@ TEST(Repair, OutOfRangeTileIsFatal)
     const int n = 32, m = 4;
     const auto weights = randomWords(rng, n * m);
     EngineConfig cfg;
-    cfg.threads = 1;
     BitSerialEngine eng(cfg, weights, n, m);
     EXPECT_THROW((void)eng.repairTile(-1, 0), FatalError);
     EXPECT_THROW((void)eng.repairTile(0, eng.colSegments()),

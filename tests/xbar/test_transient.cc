@@ -35,7 +35,6 @@ TEST(Abft, ZeroNoiseHasZeroFalsePositives)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig plain;
-    plain.threads = 1;
     EngineConfig checked = plain;
     checked.abftChecksum = true;
 
@@ -67,7 +66,6 @@ TEST(Abft, InjectedFaultIsDetectedAndChargesTheRetryBudget)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.abftChecksum = true;
     cfg.maxReadRetries = 3;
     cfg.retryBackoffCycles = 2;
@@ -121,7 +119,6 @@ TEST(Abft, DetectOnlyModeSkipsRetries)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.abftChecksum = true;
     cfg.maxReadRetries = 0; // detect, never re-read
     BitSerialEngine eng(cfg, weights, n, m);
@@ -151,7 +148,6 @@ TEST(Drift, RefreshSizingRuleKeepsReadsExact)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig clean;
-    clean.threads = 1;
     EngineConfig drifty = clean;
     drifty.abftChecksum = true;
     drifty.noise.driftLevelsPerOp = 0.1;
@@ -184,7 +180,6 @@ TEST(Drift, UnrefreshedDriftIsFlaggedAndUncorrectable)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig clean;
-    clean.threads = 1;
     EngineConfig drifty = clean;
     drifty.abftChecksum = true;
     drifty.maxReadRetries = 2;
@@ -217,7 +212,6 @@ TEST(Abft, ReadNoiseRetriesAreDeterministicPerSeed)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.abftChecksum = true;
     cfg.noise.sigmaLsb = 3.0;
     cfg.noise.seed = 55;
@@ -248,7 +242,6 @@ TEST(Abft, DefectiveChecksumColumnDisablesTheTileNotTheEngine)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 1;
     cfg.abftChecksum = true;
     cfg.noise.stuckAtFraction = 0.3;
     cfg.noise.seed = 7;
@@ -282,7 +275,6 @@ TEST(Abft, ResetStatsReplaysTheIdenticalRealization)
     const auto weights = randomWords(rng, n * m);
 
     EngineConfig cfg;
-    cfg.threads = 2;
     cfg.abftChecksum = true;
     cfg.noise.sigmaLsb = 2.0;
     cfg.noise.driftLevelsPerOp = 0.1;
